@@ -10,9 +10,6 @@ and noisy published values.
 """
 
 from .accounting import (
-    ALPHA_MAX,
-    ALPHA_MIN,
-    ALPHA_POINTS,
     BudgetPolicy,
     CalibrationError,
     FilterDecision,
@@ -86,9 +83,6 @@ from .sensitivity import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALPHA_MAX",
-    "ALPHA_MIN",
-    "ALPHA_POINTS",
     "AuthFailed",
     "BudgetPolicy",
     "BudgetRejected",

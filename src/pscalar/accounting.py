@@ -12,22 +12,18 @@ from __future__ import annotations
 import contextlib
 import datetime
 import math
+import sys
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 from .poly import VarId
 from .scalar import PrivateScalar
-from .sensitivity import DEFAULT_VERTEX_CAP, lipschitz_bound
+from .sensitivity import lipschitz_bound
 
-# Fixed candidate grid for the conversion minimization, plus the analytic
-# minimizer appended per call so the grid result never exceeds the closed form.
-ALPHA_MIN = 1.0 + 1e-4
-ALPHA_MAX = 1e6
-ALPHA_POINTS = 2048
-_ALPHAS = np.geomspace(ALPHA_MIN, ALPHA_MAX, ALPHA_POINTS)
+# Nudges that calibrate_sigma may take past its closed form; rounding leaves
+# that form at most a few ulps short of what the filter admits.
+_CALIBRATION_ULP_STEPS = 64
 
 
 class LedgerError(ValueError):
@@ -90,20 +86,23 @@ class LedgerEntry:
     timestamp: str
 
 
-def spend_for_publish(
-    scalar: PrivateScalar, sigma: float, *, vertex_cap: int = DEFAULT_VERTEX_CAP
-) -> list[RdpSpend]:
+def spend_for_publish(scalar: PrivateScalar, sigma: float) -> list[RdpSpend]:
     """Per-entity Renyi cost of one Gaussian release of the scalar at sigma.
 
     Uses removal semantics: the Lipschitz bound for each entity is taken over
-    its box widened through 0, the replacement value.
+    its box widened through 0, the replacement value.  Sigma must keep
+    ``2 sigma^2`` a positive normal float, so that every cost is finite.
     """
-    if not (isinstance(sigma, (int, float)) and math.isfinite(sigma) and sigma > 0):
-        raise ValueError(f"sigma must be a positive finite number, got {sigma!r}")
+    if not (
+        isinstance(sigma, (int, float))
+        and sigma > 0
+        and sys.float_info.min <= 2.0 * sigma * sigma < math.inf
+    ):
+        raise ValueError(f"sigma must be positive with 2*sigma^2 a normal float, got {sigma!r}")
     spends = []
     denom = 2.0 * sigma * sigma
     for v in sorted(scalar.entities()):
-        lb = lipschitz_bound(scalar, v, include_origin=True, vertex_cap=vertex_cap)
+        lb = lipschitz_bound(scalar, v, include_origin=True)
         x = scalar.inputs[v].clipped
         rho = (lb.bound * lb.bound) * (x * x) / denom
         spends.append(RdpSpend(v, rho, lb.bound, x))
@@ -113,21 +112,15 @@ def spend_for_publish(
 def rdp_to_dp(rho: float, delta: float) -> float:
     """Tightest (eps, delta) conversion of the linear curve eps(alpha) = rho*alpha.
 
-    Minimizes ``rho*alpha + ln(1/delta)/(alpha-1)`` over the fixed alpha grid
-    plus the analytic minimizer, so the result never exceeds the closed form
-    ``rho + 2*sqrt(rho*ln(1/delta))``.  A zero curve converts to eps = 0.
+    Minimizing ``rho*alpha + ln(1/delta)/(alpha-1)`` over alpha > 1 gives the
+    closed form ``rho + 2*sqrt(rho*ln(1/delta))`` (Bun & Steinke, Prop. 1.3;
+    Mironov, Prop. 3).  A zero curve converts to eps = 0.
     """
     if not (0.0 < delta < 1.0):
         raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
     if not (math.isfinite(rho) and rho >= 0.0):
         raise ValueError(f"rho must be finite and non-negative, got {rho!r}")
-    if rho == 0.0:
-        return 0.0
-    log_inv = math.log(1.0 / delta)
-    eps = float(np.min(rho * _ALPHAS + log_inv / (_ALPHAS - 1.0)))
-    alpha_star = 1.0 + math.sqrt(log_inv / rho)
-    eps = min(eps, rho * alpha_star + log_inv / (alpha_star - 1.0))
-    return eps
+    return rho + 2.0 * math.sqrt(rho * math.log(1.0 / delta))
 
 
 def _now_iso() -> str:
@@ -296,43 +289,44 @@ def calibrate_sigma(
     *,
     lo: float = 1e-6,
     hi: float = 1e9,
-    rel_tol: float = 1e-4,
-    vertex_cap: int = DEFAULT_VERTEX_CAP,
 ) -> float:
-    """Smallest sigma (within rel_tol) whose release passes the budget filter.
+    """Smallest sigma, at least lo, whose release passes the budget filter.
 
-    Geometric bisection over [lo, hi]; spends scale as 1/sigma^2 so the
-    pass/fail predicate is monotone in sigma.  Raises CalibrationError naming
-    the blocked entities when even sigma = hi cannot pass.
+    Spends scale as 1/sigma^2, so an entity costing u at sigma = 1 with ledger
+    total t fits iff ``sigma^2 >= u / (rho_cap - t)``, where rho_cap is the
+    largest total whose conversion stays within the cap.  The largest of these
+    exact inverses is stepped up by ulps until the filter admits it, then
+    confirmed through the real spend path.  Raises CalibrationError naming the
+    blocked entities when no sigma up to hi can pass.
     """
-    unit_spends = spend_for_publish(scalar, 1.0, vertex_cap=vertex_cap)
-
-    def decision(sigma: float) -> FilterDecision:
-        scaled = [
-            RdpSpend(s.entity, s.rho / (sigma * sigma), s.lipschitz, s.clipped_input)
-            for s in unit_spends
-        ]
-        return filter_check(ledger, scaled, policy)
-
-    top = decision(hi)
-    if not top.ok:
-        blocked = [e for e, _ in top.violations]
+    unit_spends = spend_for_publish(scalar, 1.0)
+    eps, log_inv = policy.eps_cap, math.log(1.0 / policy.delta)
+    # (sqrt(eps + L) - sqrt(L))^2 without the cancellation of that form.
+    rho_cap = (eps / (math.sqrt(eps + log_inv) + math.sqrt(log_inv))) ** 2
+    needed = {}
+    for entity, unit in _aggregate_by_entity(unit_spends).items():
+        if unit > 0.0:
+            headroom = rho_cap - ledger.total(entity)
+            needed[entity] = math.sqrt(unit / headroom) if headroom > 0.0 else math.inf
+    blocked = sorted(e for e, s in needed.items() if s > hi)
+    if not blocked:
+        sigma = max([lo, *needed.values()])
+        for _ in range(_CALIBRATION_ULP_STEPS):
+            scaled = [
+                RdpSpend(s.entity, s.rho / (sigma * sigma), s.lipschitz, s.clipped_input)
+                for s in unit_spends
+            ]
+            if filter_check(ledger, scaled, policy).ok:
+                break
+            sigma = math.nextafter(sigma, math.inf)
+        # The scaled and direct spends round alike, so this refuses only when
+        # the steps ran out: the entities still over the cap are blocked.
+        decision = filter_check(ledger, spend_for_publish(scalar, sigma), policy)
+        blocked = [e for e, _ in decision.violations]
+    if blocked:
         raise CalibrationError(
             "no noise level in range can fit the budget; blocked entities: "
             + ", ".join(blocked),
             blocked,
         )
-    if decision(lo).ok:
-        return lo
-    lo_fail, hi_pass = lo, hi
-    while hi_pass > lo_fail * (1.0 + rel_tol):
-        mid = math.sqrt(lo_fail * hi_pass)
-        if decision(mid).ok:
-            hi_pass = mid
-        else:
-            lo_fail = mid
-    # Confirm through the real spend path; the bisection margin dwarfs any
-    # floating-point disagreement between the scaled and direct spends.
-    if not filter_check(ledger, spend_for_publish(scalar, hi_pass, vertex_cap=vertex_cap), policy).ok:
-        hi_pass *= 1.0 + rel_tol  # pragma: no cover
-    return hi_pass
+    return sigma

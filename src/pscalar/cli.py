@@ -7,7 +7,6 @@ import json
 import os
 import shlex
 import sys
-import threading
 from pathlib import Path
 
 from . import demos
@@ -16,8 +15,8 @@ from .node import (
     AUDIT_FILE,
     Node,
     NodeConfig,
+    NodeTCPServer,
     load_users_file,
-    start_server,
     users_add,
 )
 from .accounting import PrivacyLedger
@@ -99,15 +98,17 @@ def _cmd_serve(args) -> int:
             "warning: no users registered; run 'pscalar-node users add' first",
             file=sys.stderr,
         )
-    server = start_server(node, args.host, args.port)
-    host, port = server.address
-    print(f"pscalar-node listening on {host}:{port}", flush=True)
+    server = NodeTCPServer(node, args.host, args.port)
     try:
-        threading.Event().wait()  # serve_forever runs in a daemon thread
+        # Inside the try, so that an interrupt right after the banner still
+        # stops the node cleanly.
+        host, port = server.address
+        print(f"pscalar-node listening on {host}:{port}", flush=True)
+        server.serve_forever()
     except KeyboardInterrupt:
         pass
     finally:
-        server.shutdown()
+        server.server_close()
         node.close()
     return 0
 

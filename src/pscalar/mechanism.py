@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import datetime
 import math
 import threading
 from dataclasses import dataclass
@@ -14,11 +13,11 @@ from .accounting import (
     FilterDecision,
     PrivacyLedger,
     RdpSpend,
+    _now_iso,
     filter_check,
     spend_for_publish,
 )
 from .scalar import PrivateScalar
-from .sensitivity import DEFAULT_VERTEX_CAP
 
 #: How noise is produced, fixed for reproducibility guarantees.
 NOISE_ALGORITHM = "numpy PCG64 bit generator, Generator.normal (ziggurat)"
@@ -73,10 +72,6 @@ class PublishReceipt:
     timestamp: str
 
 
-def _now_iso() -> str:
-    return datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="microseconds")
-
-
 def release(scalar: PrivateScalar, sigma: float, source: GaussianNoiseSource) -> float:
     """Raw noisy evaluation with no accounting; for harnesses and internals only."""
     return scalar.value() + source.sample(sigma)
@@ -88,8 +83,6 @@ def publish(
     ledger: PrivacyLedger,
     policy: BudgetPolicy,
     source: GaussianNoiseSource,
-    *,
-    vertex_cap: int = DEFAULT_VERTEX_CAP,
 ) -> PublishReceipt:
     """Budget-checked Gaussian release.
 
@@ -97,7 +90,7 @@ def publish(
     ledger transaction, and the spends hit the journal before the noisy value
     exists.  On rejection nothing is recorded and no noise is drawn.
     """
-    spends = spend_for_publish(scalar, sigma, vertex_cap=vertex_cap)
+    spends = spend_for_publish(scalar, sigma)
     with ledger.transaction():
         decision = filter_check(ledger, spends, policy)
         if not decision.ok:
@@ -109,12 +102,7 @@ def publish(
 
 
 def simulate_publish(
-    scalar: PrivateScalar,
-    sigma: float,
-    sim_ledger: PrivacyLedger,
-    policy: BudgetPolicy,
-    *,
-    vertex_cap: int = DEFAULT_VERTEX_CAP,
+    scalar: PrivateScalar, sigma: float, sim_ledger: PrivacyLedger, policy: BudgetPolicy
 ) -> tuple[FilterDecision, list[RdpSpend]]:
     """The publish decision logic run against a simulated ledger.
 
@@ -124,7 +112,7 @@ def simulate_publish(
     """
     if sim_ledger.mode != PrivacyLedger.SIMULATED:
         raise ValueError("simulate_publish requires a simulated ledger")
-    spends = spend_for_publish(scalar, sigma, vertex_cap=vertex_cap)
+    spends = spend_for_publish(scalar, sigma)
     with sim_ledger.transaction():
         decision = filter_check(sim_ledger, spends, policy)
         if decision.ok:

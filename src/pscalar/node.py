@@ -9,19 +9,19 @@ private-value leakage.
 from __future__ import annotations
 
 import csv
-import datetime
 import itertools
 import json
 import re
 import secrets
 import socketserver
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .accounting import (
     BudgetPolicy,
     PrivacyLedger,
+    _now_iso,
     remaining_budget,
 )
 from .mechanism import BudgetRejected, GaussianNoiseSource, publish, simulate_publish
@@ -32,7 +32,6 @@ from .scalar import (
     PrivateScalar,
     UnsupportedOperationError,
 )
-from .sensitivity import DEFAULT_VERTEX_CAP
 from .wire import (
     assert_no_private_leakage,
     encode,
@@ -82,7 +81,6 @@ class NodeConfig:
     shared_ledger: bool = False
     journal_dir: str | Path | None = None
     seed: int | None = None
-    vertex_cap: int = DEFAULT_VERTEX_CAP
 
 
 @dataclass
@@ -225,10 +223,6 @@ def users_add(journal_dir: str | Path, name: str) -> str:
     users.append({"name": name, "key": key})
     save_users_file(journal_dir, users)
     return key
-
-
-def _now_iso() -> str:
-    return datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="microseconds")
 
 
 class Node:
@@ -464,13 +458,7 @@ class Node:
         if account is None:
             raise NodeError("auth_failed", "invalid api key")
         session.user = account
-        return {
-            "user": account.name,
-            "datasets": [
-                {"name": name, "rows": len(ds.rows)}
-                for name, ds in sorted(self.datasets.items())
-            ],
-        }
+        return {"user": account.name, **self._op_list_datasets(session, msg)}
 
     def _op_list_datasets(self, session: NodeSession, msg: dict) -> dict:
         return {
@@ -535,10 +523,7 @@ class Node:
         scalar = self._scalar(session, self._want_str(msg, "handle"))
         sigma = self._want_number(msg, "sigma")
         ledger = self.ledger_for(session.user)
-        receipt = publish(
-            scalar, sigma, ledger, session.user.policy, self.noise,
-            vertex_cap=self.config.vertex_cap,
-        )
+        receipt = publish(scalar, sigma, ledger, session.user.policy, self.noise)
         return receipt_wire(receipt, redact=True)
 
     def _op_simulate(self, session: NodeSession, msg: dict) -> dict:
@@ -546,10 +531,7 @@ class Node:
         sigma = self._want_number(msg, "sigma")
         if session.sim is None:
             session.sim = self.ledger_for(session.user).fork_simulated()
-        decision, spends = simulate_publish(
-            scalar, sigma, session.sim, session.user.policy,
-            vertex_cap=self.config.vertex_cap,
-        )
+        decision, spends = simulate_publish(scalar, sigma, session.sim, session.user.policy)
         payload = {
             "passed": decision.ok,
             "spends": [spend_wire(s, redact=True) for s in spends],

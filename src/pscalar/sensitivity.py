@@ -143,24 +143,3 @@ def lipschitz_bound(
             return result
     raise AssertionError("interval_sound is always applicable")  # pragma: no cover
 
-
-def first_degree_bound(scalar: PrivateScalar, entity: VarId) -> LipschitzBound | None:
-    _box_for(scalar, entity, False)
-    return _first_degree(scalar.poly, entity)
-
-
-def monotone_ceiling_bound(scalar: PrivateScalar, entity: VarId) -> LipschitzBound | None:
-    box = _box_for(scalar, entity, False)
-    return _monotone_ceiling(scalar.poly, box, entity)
-
-
-def vertex_exact_bound(
-    scalar: PrivateScalar, entity: VarId, vertex_cap: int = DEFAULT_VERTEX_CAP
-) -> LipschitzBound | None:
-    box = _box_for(scalar, entity, False)
-    return _vertex_exact(scalar.poly, box, entity, vertex_cap)
-
-
-def interval_sound_bound(scalar: PrivateScalar, entity: VarId) -> LipschitzBound:
-    box = _box_for(scalar, entity, False)
-    return _interval_sound(scalar.poly, box, entity)

@@ -7,7 +7,8 @@ import random
 
 import pytest
 
-from oracles import analytic_sigma, closed_form_eps, golden_eps, rho_cap
+from conftest import random_scalar
+from oracles import analytic_rho_for_eps, analytic_sigma, closed_form_eps, golden_eps, rho_cap
 from pscalar.accounting import (
     BudgetPolicy,
     CalibrationError,
@@ -328,3 +329,36 @@ def test_calibrate_zero_cost_query_returns_floor():
     target = mk("A", 0.0, 0.0, 10.0)  # clipped value 0: free at any sigma
     sigma = calibrate_sigma(target, PrivacyLedger(), pol)
     assert sigma == pytest.approx(1e-6)
+
+
+def test_calibrate_is_tight_against_the_filter():
+    # Random sums and products, some with a second attribute of one entity,
+    # over ledgers holding prior spends of up to 90% of the cap.
+    rnd = random.Random(0xCA1B)
+    for case in range(200):
+        target = random_scalar(rnd, max_vars=3, max_terms=4, max_power=2)
+        if rnd.random() < 0.5:
+            target = target + mk("e0", rnd.uniform(0.0, 5.0), 0.0, 5.0, attribute="kg").scale(
+                rnd.uniform(-2.0, 2.0)
+            )
+        pol = BudgetPolicy(eps_cap=10.0 ** rnd.uniform(-1, 1), delta=10.0 ** rnd.uniform(-10, -3))
+        cap = analytic_rho_for_eps(pol.eps_cap, pol.delta)
+        led = PrivacyLedger()
+        for entity in sorted({v.entity for v in target.entities()}):
+            if rnd.random() < 0.5:
+                led.record([_spend(entity, rnd.uniform(0.0, 0.9) * cap)], led.next_publish_id())
+        sigma = calibrate_sigma(target, led, pol)
+        assert filter_check(led, spend_for_publish(target, sigma), pol).ok, case
+        assert not filter_check(led, spend_for_publish(target, sigma * (1 - 1e-9)), pol).ok, case
+
+
+def test_calibrate_blocks_entities_needing_sigma_above_hi():
+    pol = BudgetPolicy(eps_cap=1.0, delta=1e-6)
+    led = PrivacyLedger()
+    led.record([_spend("spent", 1.0)], led.next_publish_id())  # already past the cap
+    huge = mk("huge", 1e12, 0.0, 1e12)  # needs sigma ~ 2.7e12 against hi = 1e9
+    with pytest.raises(CalibrationError) as err:
+        calibrate_sigma(huge + mk("spent", 5.0, 0.0, 10.0) + mk("fine", 5.0, 0.0, 10.0), led, pol)
+    assert err.value.blocked == ["huge", "spent"]
+    sigma = calibrate_sigma(huge, led, pol, hi=1e13)
+    assert sigma == pytest.approx(1e12 / math.sqrt(2.0 * rho_cap(1.0, 1e-6)), rel=1e-9)

@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import json
+import signal
 import socket
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -362,6 +366,24 @@ def test_min_budget_tie_breaks_deterministically(tmp_path):
     node.close()
 
 
+def test_sigma_whose_square_is_not_normal_is_a_bad_request(tmp_path):
+    node = make_node(tmp_path)
+    serve_csv(tmp_path, node)
+    node.add_user("u1", key="k1", persist=False)
+    s = authed_session(node)
+    roots = call(node, s, "get_roots", dataset="people")["roots"]
+    assert call(node, s, "publish", handle=roots[1]["handle"], sigma=300.0)["ok"]
+    ledger = node.ledger_for(s.user)
+    before = ledger.snapshot_bytes()
+    # 2*sigma^2 underflows to 0 at 1e-300 and overflows at 1e160
+    for sigma in (1e-300, 1e160):
+        for op in ("publish", "simulate_publish"):
+            resp = call(node, s, op, handle=roots[0]["handle"], sigma=sigma)
+            assert resp["error"]["code"] == "bad_request", (op, sigma, resp)
+    assert ledger.snapshot_bytes() == before
+    node.close()
+
+
 # -- ledger scope and persistence ----------------------------------------------------------
 
 
@@ -506,6 +528,27 @@ def test_tcp_malformed_and_auth_frames(tmp_path):
     finally:
         server.shutdown()
         node.close()
+
+
+def test_serve_stops_promptly_on_sigint(tmp_path):
+    path = good_csv(tmp_path, "entity,value,floor,ceiling\nA,1,0,2\n")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pscalar", "node", "serve", "--data", str(path), "--port", "0",
+         "--eps", "1", "--delta", "1e-6", "--user", "u1:k1", "--journal", str(tmp_path / "state")],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    try:
+        assert proc.stdout.readline().startswith("pscalar-node listening on ")
+        t0 = time.monotonic()
+        proc.send_signal(signal.SIGINT)
+        code = proc.wait(timeout=10)
+        elapsed = time.monotonic() - t0
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    assert code == 0, proc.stderr.read()
+    assert elapsed < 0.2, f"stop took {elapsed:.3f}s"
 
 
 def test_user_name_validation(tmp_path):
