@@ -74,7 +74,6 @@ from .sensitivity import (
     FIRST_DEGREE,
     INTERVAL_SOUND,
     MONOTONE_CEILING,
-    STRATEGY_ORDER,
     VERTEX_EXACT,
     LipschitzBound,
     lipschitz_bound,
@@ -116,7 +115,6 @@ __all__ = [
     "RdpSpend",
     "RemoteScalar",
     "RequestFailed",
-    "STRATEGY_ORDER",
     "ScriptError",
     "ScriptReport",
     "Session",

@@ -40,16 +40,14 @@ class CalibrationError(ValueError):
 
 @dataclass(frozen=True)
 class RdpSpend:
-    """One entity's cost for one release.
+    """One entity's cost for one release and the slope bound behind it.
 
-    ``lipschitz`` and ``clipped_input`` feed receipts; ``clipped_input`` is
-    private and must be redacted from anything sent to a scientist session.
+    No input value is kept; ``rho`` is computed from the clipped input.
     """
 
     entity: VarId
     rho: float
     lipschitz: float
-    clipped_input: float
 
     def __post_init__(self):
         if not (math.isfinite(self.rho) and self.rho >= 0.0):
@@ -105,7 +103,7 @@ def spend_for_publish(scalar: PrivateScalar, sigma: float) -> list[RdpSpend]:
         lb = lipschitz_bound(scalar, v, include_origin=True)
         x = scalar.inputs[v].clipped
         rho = (lb.bound * lb.bound) * (x * x) / denom
-        spends.append(RdpSpend(v, rho, lb.bound, x))
+        spends.append(RdpSpend(v, rho, lb.bound))
     return spends
 
 
@@ -226,9 +224,15 @@ class PrivacyLedger:
             return f"p{self._seq:06d}"
 
     def record(self, spends: list[RdpSpend], publish_id: str, timestamp: str | None = None) -> None:
-        """Append the spends of one release; journaled before returning."""
+        """Append the spends of one release; journaled before returning.
+
+        A journaled ledger whose journal is closed refuses the record and
+        stays unchanged, so its totals never run ahead of what a restart replays.
+        """
         ts = timestamp if timestamp is not None else _now_iso()
         with self._lock:
+            if self.journal_path is not None and self._journal is None:
+                raise LedgerError("the ledger's journal is closed")
             lines = []
             for s in sorted(spends, key=lambda s: s.entity):
                 entity = s.entity.entity
@@ -312,10 +316,7 @@ def calibrate_sigma(
     if not blocked:
         sigma = max([lo, *needed.values()])
         for _ in range(_CALIBRATION_ULP_STEPS):
-            scaled = [
-                RdpSpend(s.entity, s.rho / (sigma * sigma), s.lipschitz, s.clipped_input)
-                for s in unit_spends
-            ]
+            scaled = [RdpSpend(s.entity, s.rho / (sigma * sigma), s.lipschitz) for s in unit_spends]
             if filter_check(ledger, scaled, policy).ok:
                 break
             sigma = math.nextafter(sigma, math.inf)

@@ -59,11 +59,7 @@ class GaussianNoiseSource:
 
 @dataclass(frozen=True)
 class PublishReceipt:
-    """What a successful release produced and what it cost.
-
-    ``spends`` carry the private clipped inputs; serializing a receipt toward
-    a scientist session must go through the redacting wire form.
-    """
+    """What a successful release produced and what it cost each entity."""
 
     publish_id: str
     value: float

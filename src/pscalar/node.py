@@ -430,7 +430,10 @@ class Node:
         val = msg.get(key)
         if isinstance(val, bool) or not isinstance(val, (int, float)):
             raise NodeError("bad_request", f"field {key!r} must be a number")
-        return float(val)
+        try:
+            return float(val)
+        except OverflowError:
+            raise NodeError("bad_request", f"field {key!r} is too large for a float") from None
 
     @staticmethod
     def _want_int(msg: dict, key: str) -> int:
@@ -524,7 +527,7 @@ class Node:
         sigma = self._want_number(msg, "sigma")
         ledger = self.ledger_for(session.user)
         receipt = publish(scalar, sigma, ledger, session.user.policy, self.noise)
-        return receipt_wire(receipt, redact=True)
+        return receipt_wire(receipt)
 
     def _op_simulate(self, session: NodeSession, msg: dict) -> dict:
         scalar = self._scalar(session, self._want_str(msg, "handle"))
@@ -534,7 +537,7 @@ class Node:
         decision, spends = simulate_publish(scalar, sigma, session.sim, session.user.policy)
         payload = {
             "passed": decision.ok,
-            "spends": [spend_wire(s, redact=True) for s in spends],
+            "spends": [spend_wire(s) for s in spends],
             "rejection": None,
         }
         if not decision.ok:

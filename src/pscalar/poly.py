@@ -179,9 +179,12 @@ class Interval:
             raise PolynomialError(f"interval power must be a non-negative integer, got {k!r}")
         if k == 0:
             return Interval(1.0, 1.0)
-        if k % 2 == 1:
-            return Interval(self.lo**k, self.hi**k)
-        lo_k, hi_k = abs(self.lo) ** k, abs(self.hi) ** k
+        try:
+            if k % 2 == 1:
+                return Interval(self.lo**k, self.hi**k)
+            lo_k, hi_k = abs(self.lo) ** k, abs(self.hi) ** k
+        except OverflowError:
+            raise NonFiniteError(f"power {k} of {self} overflows a float") from None
         if self.lo <= 0.0 <= self.hi:
             return Interval(0.0, max(lo_k, hi_k))
         return Interval(min(lo_k, hi_k), max(lo_k, hi_k))
@@ -324,15 +327,23 @@ class Polynomial:
     # -- evaluation -----------------------------------------------------------
 
     def evaluate(self, assignment: Mapping[VarId, float]) -> float:
-        """Exact float evaluation; every variable must have an assigned value."""
+        """Exact float evaluation; every variable must have an assigned value.
+
+        Raises NonFiniteError when the value overflows a float.
+        """
         total = 0.0
-        for m, c in self._terms.items():
-            term = c
-            for v, e in m.powers:
-                if v not in assignment:
-                    raise MissingVariableError(f"no value assigned for variable {v.label()}")
-                term *= assignment[v] ** e
-            total += term
+        try:
+            for m, c in self._terms.items():
+                term = c
+                for v, e in m.powers:
+                    if v not in assignment:
+                        raise MissingVariableError(f"no value assigned for variable {v.label()}")
+                    term *= assignment[v] ** e
+                total += term
+        except OverflowError:
+            total = math.inf  # a power overflowed; products that overflow reach inf silently
+        if not math.isfinite(total):
+            raise NonFiniteError("polynomial value overflows a float")
         return total
 
     def partial(self, v: VarId) -> "Polynomial":
@@ -343,7 +354,10 @@ class Polynomial:
             if e == 0:
                 continue
             dm = m.without_one(v)
-            out[dm] = out.get(dm, 0.0) + c * e
+            try:
+                out[dm] = out.get(dm, 0.0) + c * e
+            except OverflowError:
+                raise NonFiniteError(f"exponent {e} of {v.label()} overflows a float") from None
         return Polynomial(out)
 
     def range_over(self, box: Mapping[VarId, Interval]) -> Interval:

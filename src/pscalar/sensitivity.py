@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .poly import Interval, Monomial, Polynomial, VarId
+from .poly import Monomial, VarId
 from .scalar import PrivateScalar, UnknownEntityError
 
 FIRST_DEGREE = "first_degree"
@@ -18,10 +18,8 @@ MONOTONE_CEILING = "monotone_ceiling"
 VERTEX_EXACT = "vertex_exact"
 INTERVAL_SOUND = "interval_sound"
 
-#: Dispatch order: cheapest exact rule first, sound fallback last.
-STRATEGY_ORDER = (FIRST_DEGREE, MONOTONE_CEILING, VERTEX_EXACT, INTERVAL_SOUND)
-
-DEFAULT_VERTEX_CAP = 20
+#: Most live variables a slope may have for vertex_exact to scan its 2^k corners.
+VERTEX_CAP = 20
 
 
 @dataclass(frozen=True)
@@ -34,112 +32,39 @@ class LipschitzBound:
     exact: bool
 
 
-def _box_for(scalar: PrivateScalar, entity: VarId, include_origin: bool) -> dict[VarId, Interval]:
-    if entity not in scalar.inputs:
-        raise UnknownEntityError(f"entity {entity.label()} does not contribute to this scalar")
-    box = scalar.box()
-    if include_origin:
-        # Removal semantics: the entity's replacement value is 0, so the
-        # perturbed coordinate must range over the hull of {0} and its box.
-        box[entity] = box[entity].hull_with(0.0)
-    return box
-
-
-def _first_degree(poly: Polynomial, entity: VarId) -> LipschitzBound | None:
-    """Degree <= 1: the partial is the variable's coefficient, exactly."""
-    if poly.degree() > 1:
-        return None
-    coeff = poly.coefficient(Monomial.of({entity: 1}))
-    return LipschitzBound(entity, abs(coeff), FIRST_DEGREE, True)
-
-
-def _monotone_ceiling(
-    poly: Polynomial, box: dict[VarId, Interval], entity: VarId
-) -> LipschitzBound | None:
-    """All coefficients and all floors non-negative: the partial derivative is
-    itself non-negative with non-negative coefficients, hence maximized at the
-    all-ceilings corner.  Exact."""
-    if any(c < 0 for _, c in poly.items()):
-        return None
-    if any(box[v].lo < 0 for v in poly.variables()):
-        return None
-    d = poly.partial(entity)
-    ceilings = {v: box[v].hi for v in d.variables()}
-    return LipschitzBound(entity, d.evaluate(ceilings), MONOTONE_CEILING, True)
-
-
-def _vertex_exact(
-    poly: Polynomial, box: dict[VarId, Interval], entity: VarId, vertex_cap: int
-) -> LipschitzBound | None:
-    """Multilinear partial: |d| attains its max at a box vertex, so scanning
-    all 2^k corners is exact.  Capped at vertex_cap variables."""
-    d = poly.partial(entity)
-    dvars = sorted(d.variables())
-    if len(dvars) > vertex_cap:
-        return None
-    if any(d.degree_in(v) > 1 for v in dvars):
-        return None
-    best = 0.0
-    corners = [(box[v].lo, box[v].hi) for v in dvars]
-    for corner in itertools.product(*corners):
-        val = abs(d.evaluate(dict(zip(dvars, corner))))
-        if val > best:
-            best = val
-    if not dvars:
-        best = abs(d.coefficient(Monomial.unit()))
-    return LipschitzBound(entity, best, VERTEX_EXACT, True)
-
-
-def _interval_sound(
-    poly: Polynomial, box: dict[VarId, Interval], entity: VarId
-) -> LipschitzBound:
-    """Sound fallback: interval-evaluate the partial and take max |endpoint|."""
-    r = poly.partial(entity).range_over(box)
-    return LipschitzBound(entity, r.abs_max(), INTERVAL_SOUND, False)
-
-
-def _run(
-    strategy: str,
-    poly: Polynomial,
-    box: dict[VarId, Interval],
-    entity: VarId,
-    vertex_cap: int,
-) -> LipschitzBound | None:
-    if strategy == FIRST_DEGREE:
-        return _first_degree(poly, entity)
-    if strategy == MONOTONE_CEILING:
-        return _monotone_ceiling(poly, box, entity)
-    if strategy == VERTEX_EXACT:
-        return _vertex_exact(poly, box, entity, vertex_cap)
-    if strategy == INTERVAL_SOUND:
-        return _interval_sound(poly, box, entity)
-    raise ValueError(f"unknown strategy {strategy!r}")
-
-
 def lipschitz_bound(
-    scalar: PrivateScalar,
-    entity: VarId,
-    strategy: str | None = None,
-    *,
-    include_origin: bool = False,
-    vertex_cap: int = DEFAULT_VERTEX_CAP,
+    scalar: PrivateScalar, entity: VarId, *, include_origin: bool = False
 ) -> LipschitzBound:
     """Sound bound on |dg/dx_entity| over the scalar's public box.
 
-    Tries the strategies in STRATEGY_ORDER and returns the first applicable
-    one; ``strategy`` forces a specific rule instead (an error if it does not
-    apply).  ``include_origin`` widens the entity's own coordinate range to
-    include the removal replacement value 0.
-    """
-    box = _box_for(scalar, entity, include_origin)
-    if strategy is not None:
-        result = _run(strategy, scalar.poly, box, entity, vertex_cap)
-        if result is None:
-            raise ValueError(f"strategy {strategy!r} is not applicable here")
-        return result
-    for name in STRATEGY_ORDER:
-        result = _run(name, scalar.poly, box, entity, vertex_cap)
-        if result is not None:
-            return result
-    raise AssertionError("interval_sound is always applicable")  # pragma: no cover
+    The first route that applies wins, cheapest exact rule first:
 
+    - first_degree: degree <= 1, so the slope is the entity's coefficient.
+    - monotone_ceiling: all coefficients and floors are non-negative, so the
+      slope has non-negative coefficients and peaks at the all-ceilings corner.
+    - vertex_exact: the slope is multilinear in at most VERTEX_CAP variables,
+      so |slope| peaks at one of the box's 2^k corners, which are all scanned.
+    - interval_sound: interval evaluation of the slope; sound but not exact.
+
+    ``include_origin`` widens the entity's own coordinate range to include
+    the removal replacement value 0.
+    """
+    if entity not in scalar.inputs:
+        raise UnknownEntityError(f"entity {entity.label()} does not contribute to this scalar")
+    poly = scalar.poly
+    if poly.degree() <= 1:
+        coeff = poly.coefficient(Monomial.of({entity: 1}))
+        return LipschitzBound(entity, abs(coeff), FIRST_DEGREE, True)
+    box = scalar.box()
+    if include_origin:
+        box[entity] = box[entity].hull_with(0.0)
+    d = poly.partial(entity)
+    if all(c >= 0 for _, c in poly.items()) and all(box[v].lo >= 0 for v in poly.variables()):
+        ceilings = {v: box[v].hi for v in d.variables()}
+        return LipschitzBound(entity, d.evaluate(ceilings), MONOTONE_CEILING, True)
+    dvars = sorted(d.variables())
+    if len(dvars) <= VERTEX_CAP and all(d.degree_in(v) == 1 for v in dvars):
+        corners = itertools.product(*((box[v].lo, box[v].hi) for v in dvars))
+        best = max(abs(d.evaluate(dict(zip(dvars, c)))) for c in corners)
+        return LipschitzBound(entity, best, VERTEX_EXACT, True)
+    return LipschitzBound(entity, d.range_over(box).abs_max(), INTERVAL_SOUND, False)

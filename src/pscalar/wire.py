@@ -1,4 +1,4 @@
-"""Wire formats for the client-node protocol, with value redaction built in.
+"""Wire formats for the client-node protocol, with a private-value scan built in.
 
 Transport is newline-delimited UTF-8 JSON.  Requests look like
 ``{"id": 7, "op": "publish", ...}``; responses echo the id with either
@@ -6,8 +6,9 @@ Transport is newline-delimited UTF-8 JSON.  Requests look like
 (plus a ``rejection`` object for budget refusals).
 
 Everything leaving the node toward a data-scientist session is built from
-the redacting serializers below and then structurally scanned: no raw or
-clipped entity input value may ever appear on the wire.
+the serializers below, which carry no input value field, and then
+structurally scanned: no raw or clipped entity input value may ever appear
+on the wire.
 """
 
 from __future__ import annotations
@@ -49,26 +50,22 @@ def varid_from_wire(obj: dict) -> VarId:
     return VarId(str(obj["entity"]), str(obj.get("attribute", "")))
 
 
-def spend_wire(spend: RdpSpend, redact: bool = True) -> dict:
-    """Spend record for the wire; the clipped input only survives owner-side."""
-    out = {
+def spend_wire(spend: RdpSpend) -> dict:
+    return {
         "entity": spend.entity.entity,
         "attribute": spend.entity.attribute,
         "lipschitz": spend.lipschitz,
         "rho": spend.rho,
     }
-    if not redact:
-        out["clipped_input"] = spend.clipped_input
-    return out
 
 
-def receipt_wire(receipt: PublishReceipt, redact: bool = True) -> dict:
+def receipt_wire(receipt: PublishReceipt) -> dict:
     return {
         "publish_id": receipt.publish_id,
         "value": receipt.value,
         "sigma": receipt.sigma,
         "timestamp": receipt.timestamp,
-        "spends": [spend_wire(s, redact=redact) for s in receipt.spends],
+        "spends": [spend_wire(s) for s in receipt.spends],
     }
 
 

@@ -2,12 +2,20 @@
 
 from __future__ import annotations
 
+import os
 import random
+from pathlib import Path
 
 import pytest
 
 from pscalar.poly import Polynomial, VarId
 from pscalar.scalar import PrivateScalar
+
+# Tests that start `python -m pscalar` need the checkout's package too, as
+# pytest's own `pythonpath` setting reaches only this process.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")])
+)
 
 
 def to_terms(poly: Polynomial):

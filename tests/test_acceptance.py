@@ -186,7 +186,7 @@ def test_c03_spends_match_quadrature_divergence():
             assign = scalar.clipped_assignment()
             value = scalar.poly.evaluate(assign)
             spend = spends[cases % len(spends)]
-            worst_shift = spend.lipschitz * abs(spend.clipped_input)
+            worst_shift = spend.lipschitz * abs(assign[spend.entity])
             if worst_shift == 0.0:
                 continue
             removed_value = scalar.poly.evaluate({**assign, spend.entity: 0.0})

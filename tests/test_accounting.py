@@ -39,14 +39,14 @@ def test_spend_single_entity_frozen():
     (spend,) = spend_for_publish(solo, 50.0)
     assert spend.rho == 0.5
     assert spend.lipschitz == 1.0
-    assert spend.clipped_input == 50.0
+    assert solo.clipped_assignment() == {VarId("solo"): 50.0}
     assert spend.entity == VarId("solo")
 
 
 def test_spend_uses_clipped_value():
     over = mk("A", 130.0, 0.0, 122.0)
     (spend,) = spend_for_publish(over, 122.0)
-    assert spend.clipped_input == 122.0
+    assert over.clipped_assignment() == {VarId("A"): 122.0}
     assert spend.rho == (122.0 * 122.0) / (2.0 * 122.0 * 122.0)  # = 0.5
 
 
@@ -134,7 +134,7 @@ def test_policy_validation():
 
 
 def _spend(entity, rho, attribute=""):
-    return RdpSpend(VarId(entity, attribute), rho, 1.0, math.sqrt(2.0 * rho))
+    return RdpSpend(VarId(entity, attribute), rho, 1.0)
 
 
 def test_ledger_record_and_totals():
@@ -187,6 +187,24 @@ def test_ledger_journal_resume_appends(tmp_path):
     led2.record([_spend("A", 0.25)], led2.next_publish_id())
     led2.close()
     assert PrivacyLedger.replayed(path).total("A") == 0.5
+
+
+def test_closed_journal_refuses_records(tmp_path):
+    path = tmp_path / "ledger.log"
+    led = PrivacyLedger(journal_path=path)
+    led.record([_spend("A", 0.1)], led.next_publish_id())
+    led.close()
+    before, history = led.snapshot_bytes(), led.history
+    with pytest.raises(LedgerError):
+        led.record([_spend("A", 0.1)], "p000002")
+    # memory and journal still agree, so a restart charges what was charged
+    assert led.snapshot_bytes() == before and led.history == history
+    assert PrivacyLedger.replayed(path).snapshot_bytes() == before
+    # a ledger without a journal has nothing to fall behind
+    mem = PrivacyLedger()
+    mem.close()
+    mem.record([_spend("A", 0.1)], mem.next_publish_id())
+    assert mem.total("A") == 0.1
 
 
 def test_ledger_rejects_malformed_journal(tmp_path):

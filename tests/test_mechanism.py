@@ -15,6 +15,7 @@ from pscalar.mechanism import (
     release,
     simulate_publish,
 )
+from pscalar.poly import VarId
 from pscalar.scalar import PrivateScalar
 
 
@@ -173,10 +174,10 @@ def test_simulated_chain_predicts_real_filter():
 
 def test_receipt_spends_keep_owner_side_details():
     led = PrivacyLedger()
-    receipt = publish(
-        mk("A", 130.0, 0.0, 122.0), 200.0, led, POLICY, GaussianNoiseSource(seed=2)
-    )
+    scalar = mk("A", 130.0, 0.0, 122.0)
+    receipt = publish(scalar, 200.0, led, POLICY, GaussianNoiseSource(seed=2))
     (spend,) = receipt.spends
-    # the owner-side receipt retains the clipped input; the wire layer strips it
-    assert spend.clipped_input == 122.0
+    # the spend is charged on the clipped input, which it does not keep
+    assert scalar.clipped_assignment() == {VarId("A"): 122.0}
     assert spend.lipschitz == 1.0
+    assert spend.rho == 122.0**2 / (2 * 200.0**2)

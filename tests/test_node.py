@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import signal
 import socket
@@ -72,17 +73,14 @@ def test_leak_scanner_forbidden_keys():
 
 
 def test_spend_wire_redaction():
-    spend = RdpSpend(VarId("A", "age"), 0.125, 0.5, 70.0)
-    redacted = spend_wire(spend, redact=True)
-    assert redacted == {"entity": "A", "attribute": "age", "lipschitz": 0.5, "rho": 0.125}
-    full = spend_wire(spend, redact=False)
-    assert full["clipped_input"] == 70.0
+    spend = RdpSpend(VarId("A", "age"), 0.125, 0.5)
+    assert spend_wire(spend) == {"entity": "A", "attribute": "age", "lipschitz": 0.5, "rho": 0.125}
 
 
 def test_receipt_wire_redaction():
-    spend = RdpSpend(VarId("A"), 0.125, 0.5, 70.0)
+    spend = RdpSpend(VarId("A"), 0.125, 0.5)
     receipt = PublishReceipt("p000001", 12.5, 3.0, (spend,), "2026-01-01T00:00:00+00:00")
-    wired = receipt_wire(receipt, redact=True)
+    wired = receipt_wire(receipt)
     assert wired["value"] == 12.5 and wired["publish_id"] == "p000001"
     assert_no_private_leakage(wired)
     assert "clipped_input" not in json.dumps(wired)
@@ -382,6 +380,66 @@ def test_sigma_whose_square_is_not_normal_is_a_bad_request(tmp_path):
             assert resp["error"]["code"] == "bad_request", (op, sigma, resp)
     assert ledger.snapshot_bytes() == before
     node.close()
+
+
+def test_huge_integer_numbers_are_a_bad_request(tmp_path):
+    node = make_node(tmp_path)
+    serve_csv(tmp_path, node)
+    node.add_user("u1", key="k1", persist=False)
+    s = authed_session(node)
+    h = call(node, s, "get_roots", dataset="people")["roots"][0]["handle"]
+    before = node.ledger_for(s.user).snapshot_bytes()
+    for op, params in (
+        ("publish", {"handle": h, "sigma": 10**400}),
+        ("unop", {"kind": "scale", "handle": h, "c": 10**400}),
+    ):
+        resp = call(node, s, op, **params)
+        assert resp["error"]["code"] == "bad_request", (op, resp)
+    assert node.ledger_for(s.user).snapshot_bytes() == before
+    node.close()
+
+
+def test_overflowing_slope_bound_is_a_bad_request(tmp_path):
+    # x^(10^6) over [0, 122] overflows on the monotone route (Polynomial.evaluate),
+    # over [-5, 122] on the interval route (Interval.power); the slope of
+    # x^(10^400) overflows its coefficient (Polynomial.partial).  All of these
+    # use the public box only, so the refusal says nothing about the data
+    node = make_node(tmp_path)
+    serve_csv(tmp_path, node)
+    serve_csv(tmp_path, node, body="entity,value,floor,ceiling\nA,3,-5,122\n", name="signed.csv")
+    node.add_user("u1", key="k1", persist=False)
+    s = authed_session(node)
+    people = call(node, s, "get_roots", dataset="people")["roots"]
+    signed = call(node, s, "get_roots", dataset="signed")["roots"]
+    assert call(node, s, "simulate_publish", handle=people[1]["handle"], sigma=300.0)["passed"]
+    sim_before = s.sim.snapshot_bytes()
+    real_before = node.ledger_for(s.user).snapshot_bytes()
+    for root, k in itertools.product((people[0], signed[0]), (10**6, 10**400)):
+        p = call(node, s, "unop", kind="pow", handle=root["handle"], k=k)
+        assert p["ok"], p
+        for op in ("simulate_publish", "publish"):
+            resp = call(node, s, op, handle=p["handle"], sigma=300.0)
+            assert resp["error"]["code"] == "bad_request", (op, k, resp)
+    assert s.sim.snapshot_bytes() == sim_before
+    assert node.ledger_for(s.user).snapshot_bytes() == real_before
+    node.close()
+
+
+def test_publish_after_close_is_refused_and_not_journaled(tmp_path):
+    node = make_node(tmp_path)
+    serve_csv(tmp_path, node)
+    node.add_user("u1", key="k1", persist=False)
+    s = authed_session(node)
+    h = call(node, s, "get_roots", dataset="people")["roots"][1]["handle"]
+    assert call(node, s, "publish", handle=h, sigma=300.0)["ok"]
+    journal = tmp_path / "state" / "ledger-user-u1.log"
+    lines = journal.read_text(encoding="utf-8")
+    before = node.ledger_for(s.user).snapshot_bytes()
+    node.close()
+    resp = call(node, s, "publish", handle=h, sigma=300.0)
+    assert not resp["ok"], resp
+    assert journal.read_text(encoding="utf-8") == lines
+    assert node.ledger_for(s.user).snapshot_bytes() == before
 
 
 # -- ledger scope and persistence ----------------------------------------------------------

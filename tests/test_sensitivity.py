@@ -1,4 +1,4 @@
-"""Worst-case slope bounds: strategy dispatch, exactness, soundness, independence."""
+"""Worst-case slope bounds: route order, exactness, soundness, independence."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from pscalar.sensitivity import (
     FIRST_DEGREE,
     INTERVAL_SOUND,
     MONOTONE_CEILING,
-    STRATEGY_ORDER,
+    VERTEX_CAP,
     VERTEX_EXACT,
     lipschitz_bound,
 )
@@ -95,23 +95,6 @@ def test_include_origin_leaves_other_entities_alone():
     assert res_b.bound == 4.0  # sup |A| over the untouched [2, 4]
 
 
-def test_dispatch_order_and_override():
-    assert STRATEGY_ORDER == (FIRST_DEGREE, MONOTONE_CEILING, VERTEX_EXACT, INTERVAL_SOUND)
-    f = mk("A", 1.0, 0.0, 5.0) * mk("B", 1.0, 0.0, 3.0)
-    # default picks the first applicable route: monotone
-    assert lipschitz_bound(f, A).strategy == MONOTONE_CEILING
-    # forcing a later route still works and agrees here
-    forced = lipschitz_bound(f, A, strategy=VERTEX_EXACT)
-    assert forced.strategy == VERTEX_EXACT and forced.bound == 3.0
-    loose = lipschitz_bound(f, A, strategy=INTERVAL_SOUND)
-    assert loose.bound == 3.0 and not loose.exact
-    # forcing an inapplicable route is an error
-    with pytest.raises(ValueError):
-        lipschitz_bound(f, A, strategy=FIRST_DEGREE)
-    with pytest.raises(ValueError):
-        lipschitz_bound(f, A, strategy="no_such_strategy")
-
-
 def test_degenerate_width_zero_box():
     f = mk("A", 5.0, 5.0, 5.0) * mk("B", 1.0, 0.0, 2.0)
     assert lipschitz_bound(f, B).bound == 5.0
@@ -128,17 +111,22 @@ def test_absent_and_cancelled_entities():
 
 
 def test_vertex_cap_falls_back_to_interval():
-    parts = [mk(f"v{i}", 1.0, -1.0, 2.0) for i in range(6)]
-    f = parts[0]
-    for p in parts[1:]:
-        f = f * p
-    # 5 remaining variables in the slope; cap of 3 forces the interval route
-    res = lipschitz_bound(f, VarId("v0"), vertex_cap=3)
-    assert res.strategy == INTERVAL_SOUND
-    exact = lipschitz_bound(f, VarId("v0"), vertex_cap=20)
+    def product(n):
+        parts = [mk(f"v{i}", 1.0, -1.0, 2.0) for i in range(n)]
+        f = parts[0]
+        for p in parts[1:]:
+            f = f * p
+        return f
+
+    # 5 remaining variables in the slope: all 2^5 corners are scanned
+    exact = lipschitz_bound(product(6), VarId("v0"))
     assert exact.strategy == VERTEX_EXACT
     assert exact.bound == 2.0 ** 5
-    assert res.bound >= exact.bound
+    # one live variable past the cap forces the interval route, which is
+    # still sound (and tight here: a single monomial)
+    res = lipschitz_bound(product(VERTEX_CAP + 2), VarId("v0"))
+    assert res.strategy == INTERVAL_SOUND and not res.exact
+    assert res.bound >= 2.0 ** (VERTEX_CAP + 1)
 
 
 # -- oracle sweeps ---------------------------------------------------------------------
