@@ -8,6 +8,7 @@ private-value leakage.
 
 from __future__ import annotations
 
+import collections
 import csv
 import itertools
 import json
@@ -44,6 +45,8 @@ _NAME_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
 
 USERS_FILE = "users.json"
 AUDIT_FILE = "audit.jsonl"
+#: Audit events kept in memory; the audit file keeps every one.
+AUDIT_RING = 4096
 SHARED_LEDGER_FILE = "ledger-shared.log"
 
 
@@ -241,7 +244,7 @@ class Node:
         self._users_by_key: dict[str, UserAccount] = {}
         self._users_by_name: dict[str, UserAccount] = {}
         self._users_lock = threading.Lock()
-        self._audit: list[dict] = []
+        self._audit: collections.deque[dict] = collections.deque(maxlen=AUDIT_RING)
         self._audit_lock = threading.Lock()
         self._audit_file = None
         if self.journal_dir is not None:
@@ -319,7 +322,7 @@ class Node:
                 self._audit_file.flush()
 
     def audit_dump(self) -> dict:
-        """Owner-side view: full request history and per-entity cumulative rho."""
+        """Owner-side view: recent request history and per-entity cumulative rho."""
         with self._audit_lock:
             events = list(self._audit)
         if self.config.shared_ledger:

@@ -15,6 +15,7 @@ import pytest
 from oracles import rho_cap
 from pscalar.node import (
     AUDIT_FILE,
+    AUDIT_RING,
     IngestError,
     Node,
     NodeConfig,
@@ -425,6 +426,27 @@ def test_overflowing_slope_bound_is_a_bad_request(tmp_path):
     node.close()
 
 
+def test_overflowing_corner_slope_is_a_bad_request(tmp_path):
+    # the slope of 1e300*A*B in A is 1e300*B, whose corners at B = +-1e10
+    # overflow a float on the vertex route: a typed refusal, with no warning
+    # (a RuntimeWarning from the package fails the test suite)
+    node = make_node(tmp_path)
+    body = "entity,value,floor,ceiling\nA,3,-5,122\nB,1,-1e10,1e10\n"
+    serve_csv(tmp_path, node, body=body, name="wide.csv")
+    node.add_user("u1", key="k1", persist=False)
+    s = authed_session(node)
+    a, b = call(node, s, "get_roots", dataset="wide")["roots"]
+    ab = call(node, s, "binop", kind="mul", a=a["handle"], b=b["handle"])
+    big = call(node, s, "unop", kind="scale", handle=ab["handle"], c=1e300)
+    assert big["ok"], big
+    assert call(node, s, "fork_sim")["ok"]
+    sim_before = s.sim.snapshot_bytes()
+    resp = call(node, s, "simulate_publish", handle=big["handle"], sigma=300.0)
+    assert resp["error"]["code"] == "bad_request", resp
+    assert s.sim.snapshot_bytes() == sim_before
+    node.close()
+
+
 def test_publish_after_close_is_refused_and_not_journaled(tmp_path):
     node = make_node(tmp_path)
     serve_csv(tmp_path, node)
@@ -554,6 +576,23 @@ def test_audit_trail_records_publishes(tmp_path):
     # the audit file mirrors the in-memory trail
     audit_path = tmp_path / "state" / AUDIT_FILE
     assert len(audit_path.read_text().splitlines()) == len(dump["events"])
+    node.close()
+
+
+def test_audit_memory_is_a_bounded_ring(tmp_path):
+    node = make_node(tmp_path)
+    serve_csv(tmp_path, node)
+    node.add_user("u1", key="k1", persist=False)
+    s = authed_session(node)
+    for rid in range(AUDIT_RING + 4):
+        call(node, s, "list_datasets", rid=rid)
+    events = node.audit_dump()["events"]
+    assert len(events) == AUDIT_RING
+    assert events[0]["op"] == "list_datasets"  # the oldest events, auth among them, are gone
+    # the audit file keeps every event, the auth included
+    lines = (tmp_path / "state" / AUDIT_FILE).read_text().splitlines()
+    assert len(lines) == AUDIT_RING + 5
+    assert json.loads(lines[0])["op"] == "auth"
     node.close()
 
 

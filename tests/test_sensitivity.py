@@ -63,6 +63,10 @@ def test_vertex_exact_example():
     g = mk("A", 1.0, 0.0, 5.0) * mk("B", 1.0, -3.0, 2.0)
     res = lipschitz_bound(g, A)
     assert res.bound == 3.0 and res.strategy == VERTEX_EXACT and res.exact
+    # f = A + B^2 with a negative floor on B: the slope in A is the constant 1
+    h = mk("A", 1.0, 0.0, 5.0) + mk("B", 1.0, -3.0, 2.0) ** 2
+    res = lipschitz_bound(h, A)
+    assert res.bound == 1.0 and res.strategy == VERTEX_EXACT and res.exact
 
 
 def test_interval_sound_example():
@@ -108,6 +112,10 @@ def test_absent_and_cancelled_entities():
         lipschitz_bound(f, VarId("nobody"))
     g = f - mk("B", 1.0, 0.0, 5.0)  # B cancels out but stays on record
     assert lipschitz_bound(g, B).bound == 0.0
+    # the same on the vertex route: B cancels out of a square with a negative floor
+    h = mk("A", 1.0, -3.0, 2.0) ** 2 + mk("B", 1.0, 0.0, 5.0) - mk("B", 1.0, 0.0, 5.0)
+    res = lipschitz_bound(h, B)
+    assert res.bound == 0.0 and res.strategy == VERTEX_EXACT and res.exact
 
 
 def test_vertex_cap_falls_back_to_interval():
@@ -127,6 +135,45 @@ def test_vertex_cap_falls_back_to_interval():
     res = lipschitz_bound(product(VERTEX_CAP + 2), VarId("v0"))
     assert res.strategy == INTERVAL_SOUND and not res.exact
     assert res.bound >= 2.0 ** (VERTEX_CAP + 1)
+
+
+def _floors_ceilings(k):
+    # negative floors on even entities; odd ones sit above 0, so hulling
+    # their own box through 0 moves their floor
+    return [(-1.0 - 0.25 * j, 2.0 + j) if j % 2 == 0 else (1.0 + 0.5 * j, 3.0 + j) for j in range(k)]
+
+
+@pytest.mark.parametrize("k", [12, VERTEX_CAP])
+def test_square_of_sum_matches_closed_form(k):
+    # slope of (sum x)^2 in x_i is 2*sum x, whose largest |.| over the box
+    # (x_i's own range hulled through 0) is 2*max(|sum lo|, |sum hi|)
+    bounds = _floors_ceilings(k)
+    parts = [mk(f"s{j}", 1.0, lo, hi) for j, (lo, hi) in enumerate(bounds)]
+    total = sum(parts[1:], parts[0])
+    f = total * total
+    for i in (0, 1, k - 1):
+        los = [min(lo, 0.0) if j == i else lo for j, (lo, _) in enumerate(bounds)]
+        his = [max(hi, 0.0) if j == i else hi for j, (_, hi) in enumerate(bounds)]
+        res = lipschitz_bound(f, VarId(f"s{i}"), include_origin=True)
+        assert res.strategy == VERTEX_EXACT and res.exact
+        assert res.bound == 2.0 * max(abs(sum(los)), abs(sum(his)))
+
+
+def test_product_of_shifted_entities_matches_closed_form():
+    # slope of prod(x_j + 1) in x_i is prod_{j != i} (x_j + 1), a product of
+    # independent factors: its largest |.| is the product of each factor's
+    bounds = [(-3.0 - 0.5 * j, 1.0 + j) for j in range(8)]
+    f = PrivateScalar.from_public(1.0)
+    for j, (lo, hi) in enumerate(bounds):
+        f = f * mk(f"p{j}", 1.0, lo, hi).shift(1.0)
+    for i in range(8):
+        expected = 1.0
+        for j, (lo, hi) in enumerate(bounds):
+            if j != i:
+                expected *= max(abs(lo + 1.0), abs(hi + 1.0))
+        res = lipschitz_bound(f, VarId(f"p{i}"))
+        assert res.strategy == VERTEX_EXACT and res.exact
+        assert res.bound == pytest.approx(expected, rel=1e-12)
 
 
 # -- oracle sweeps ---------------------------------------------------------------------
@@ -167,6 +214,28 @@ def test_exact_bounds_match_corner_oracle():
             assert res.bound == pytest.approx(sup, rel=1e-12, abs=1e-12)
             checked += 1
     assert checked > 50
+
+
+def test_vertex_exact_matches_corner_oracle_up_to_ten_live_variables():
+    rnd = random.Random(1618)
+    checked = 0
+    for _ in range(20):
+        scalar = random_scalar(rnd, max_vars=11, max_terms=24, max_power=1)
+        terms = to_terms(scalar.poly)
+        for entity in sorted(scalar.entities()):
+            for origin in (False, True):
+                res = lipschitz_bound(scalar, entity, include_origin=origin)
+                if res.strategy != VERTEX_EXACT:
+                    continue
+                box = to_box(scalar)
+                if origin:
+                    lo, hi = box[entity.label()]
+                    box[entity.label()] = (min(lo, 0.0), max(hi, 0.0))
+                sup = corner_max_abs(diff_terms(terms, entity.label()), box)
+                assert res.exact
+                assert res.bound == pytest.approx(sup, rel=1e-12, abs=1e-12)
+                checked += 1
+    assert checked > 100
 
 
 def test_bound_depends_only_on_public_data():
