@@ -13,7 +13,6 @@ from .accounting import (
     BudgetPolicy,
     CalibrationError,
     FilterDecision,
-    LedgerEntry,
     LedgerError,
     PrivacyLedger,
     RdpSpend,
@@ -94,7 +93,6 @@ __all__ = [
     "INTERVAL_SOUND",
     "IngestError",
     "Interval",
-    "LedgerEntry",
     "LedgerError",
     "LipschitzBound",
     "MONOTONE_CEILING",

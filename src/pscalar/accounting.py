@@ -76,14 +76,6 @@ class FilterDecision:
     violations: tuple[tuple[str, float], ...] = ()
 
 
-@dataclass(frozen=True)
-class LedgerEntry:
-    publish_id: str
-    entity: str
-    rho: float
-    timestamp: str
-
-
 def spend_for_publish(scalar: PrivateScalar, sigma: float) -> list[RdpSpend]:
     """Per-entity Renyi cost of one Gaussian release of the scalar at sigma.
 
@@ -128,6 +120,9 @@ def _now_iso() -> str:
 class PrivacyLedger:
     """Append-only per-entity cumulative rho, optionally journaled to disk.
 
+    Memory holds only each entity's running total; the journal is the only
+    per-release record.
+
     Journal format: one tab-separated record per line,
     ``publish_id<TAB>entity<TAB>rho<TAB>timestamp`` with rho printed to 17
     significant digits so replay reconstructs the exact float state.  Records
@@ -146,7 +141,6 @@ class PrivacyLedger:
         self.mode = mode
         self.journal_path = Path(journal_path) if journal_path is not None else None
         self._cumulative: dict[str, float] = {}
-        self._history: list[LedgerEntry] = []
         self._seq = 0
         self._lock = threading.RLock()
         self._journal = None
@@ -166,14 +160,12 @@ class PrivacyLedger:
             parts = line.split("\t")
             if len(parts) != 4:
                 raise LedgerError(f"journal line {lineno}: expected 4 fields, got {len(parts)}")
-            publish_id, entity, rho_text, ts = parts
+            publish_id, entity, rho_text, _ts = parts
             try:
                 rho = float(rho_text)
             except ValueError:
                 raise LedgerError(f"journal line {lineno}: bad rho {rho_text!r}") from None
-            entry = LedgerEntry(publish_id, entity, rho, ts)
             self._cumulative[entity] = self._cumulative.get(entity, 0.0) + rho
-            self._history.append(entry)
             seen_ids[publish_id] = None
         self._seq = len(seen_ids)
 
@@ -190,11 +182,6 @@ class PrivacyLedger:
     def cumulative(self) -> dict[str, float]:
         with self._lock:
             return dict(self._cumulative)
-
-    @property
-    def history(self) -> tuple[LedgerEntry, ...]:
-        with self._lock:
-            return tuple(self._history)
 
     def total(self, entity: str) -> float:
         with self._lock:
@@ -237,7 +224,6 @@ class PrivacyLedger:
             for s in sorted(spends, key=lambda s: s.entity):
                 entity = s.entity.entity
                 self._cumulative[entity] = self._cumulative.get(entity, 0.0) + s.rho
-                self._history.append(LedgerEntry(publish_id, entity, s.rho, ts))
                 lines.append(f"{publish_id}\t{entity}\t{s.rho:.17g}\t{ts}\n")
             if self._journal is not None and lines:
                 self._journal.write("".join(lines))
@@ -248,7 +234,6 @@ class PrivacyLedger:
         with self._lock:
             fork = PrivacyLedger(mode=self.SIMULATED)
             fork._cumulative = dict(self._cumulative)
-            fork._history = list(self._history)
             fork._seq = self._seq
             return fork
 

@@ -73,6 +73,25 @@ def release(scalar: PrivateScalar, sigma: float, source: GaussianNoiseSource) ->
     return scalar.value() + source.sample(sigma)
 
 
+def _check_and_record(
+    scalar: PrivateScalar, sigma: float, ledger: PrivacyLedger, policy: BudgetPolicy
+) -> tuple[FilterDecision, list[RdpSpend], str | None, str | None]:
+    """Charge a release to the ledger if it fits: (decision, spends, id, timestamp).
+
+    Atomic per ledger: the filter check and the recording happen inside one
+    ledger transaction, and the spends hit the journal before the caller can
+    draw noise.  On rejection nothing is recorded and id and timestamp are None.
+    """
+    spends = spend_for_publish(scalar, sigma)
+    with ledger.transaction():
+        decision = filter_check(ledger, spends, policy)
+        if not decision.ok:
+            return decision, spends, None, None
+        publish_id, timestamp = ledger.next_publish_id(), _now_iso()
+        ledger.record(spends, publish_id, timestamp)
+    return decision, spends, publish_id, timestamp
+
+
 def publish(
     scalar: PrivateScalar,
     sigma: float,
@@ -82,19 +101,14 @@ def publish(
 ) -> PublishReceipt:
     """Budget-checked Gaussian release.
 
-    Atomic per ledger: the filter check and the recording happen inside one
-    ledger transaction, and the spends hit the journal before the noisy value
-    exists.  On rejection nothing is recorded and no noise is drawn.
+    The receipt carries the timestamp of the release's journal lines.  On
+    rejection nothing is recorded and no noise is drawn.
     """
-    spends = spend_for_publish(scalar, sigma)
-    with ledger.transaction():
-        decision = filter_check(ledger, spends, policy)
-        if not decision.ok:
-            raise BudgetRejected(decision.violations)
-        publish_id = ledger.next_publish_id()
-        ledger.record(spends, publish_id)
+    decision, spends, publish_id, timestamp = _check_and_record(scalar, sigma, ledger, policy)
+    if not decision.ok:
+        raise BudgetRejected(decision.violations)
     noisy = scalar.value() + source.sample(sigma)
-    return PublishReceipt(publish_id, noisy, sigma, tuple(spends), _now_iso())
+    return PublishReceipt(publish_id, noisy, sigma, tuple(spends), timestamp)
 
 
 def simulate_publish(
@@ -108,9 +122,5 @@ def simulate_publish(
     """
     if sim_ledger.mode != PrivacyLedger.SIMULATED:
         raise ValueError("simulate_publish requires a simulated ledger")
-    spends = spend_for_publish(scalar, sigma)
-    with sim_ledger.transaction():
-        decision = filter_check(sim_ledger, spends, policy)
-        if decision.ok:
-            sim_ledger.record(spends, sim_ledger.next_publish_id())
+    decision, spends, _, _ = _check_and_record(scalar, sigma, sim_ledger, policy)
     return decision, spends

@@ -37,6 +37,7 @@ from .wire import (
     assert_no_private_leakage,
     encode,
     receipt_wire,
+    rejection_wire,
     scalar_summary,
     spend_wire,
 )
@@ -90,7 +91,6 @@ class NodeConfig:
 class UserAccount:
     name: str
     key: str
-    policy: BudgetPolicy
     ledger: PrivacyLedger
 
 
@@ -276,7 +276,7 @@ class Node:
                 ledger = self.shared_ledger
             else:
                 ledger = PrivacyLedger(journal_path=self._ledger_path(name))
-            account = UserAccount(name, key, self.policy, ledger)
+            account = UserAccount(name, key, ledger)
             self._users_by_name[name] = account
             self._users_by_key[key] = account
         if persist and self.journal_dir is not None:
@@ -308,9 +308,6 @@ class Node:
         for ds in self.datasets.values():
             out.update(row.entity for row in ds.rows)
         return out
-
-    def ledger_for(self, user: UserAccount) -> PrivacyLedger:
-        return self.shared_ledger if self.config.shared_ledger else user.ledger
 
     # -- audit ---------------------------------------------------------------------
 
@@ -379,10 +376,7 @@ class Node:
                 "id": rid,
                 "ok": False,
                 "error": {"code": "budget_rejected", "detail": str(exc)},
-                "rejection": {
-                    "entities": [e for e, _ in exc.violations],
-                    "projected_eps": [eps for _, eps in exc.violations],
-                },
+                "rejection": rejection_wire(exc.violations),
             }
         except NodeError as exc:
             resp = {"id": rid, "ok": False, "error": {"code": exc.code, "detail": exc.detail}}
@@ -528,36 +522,28 @@ class Node:
     def _op_publish(self, session: NodeSession, msg: dict) -> dict:
         scalar = self._scalar(session, self._want_str(msg, "handle"))
         sigma = self._want_number(msg, "sigma")
-        ledger = self.ledger_for(session.user)
-        receipt = publish(scalar, sigma, ledger, session.user.policy, self.noise)
+        receipt = publish(scalar, sigma, session.user.ledger, self.policy, self.noise)
         return receipt_wire(receipt)
 
     def _op_simulate(self, session: NodeSession, msg: dict) -> dict:
         scalar = self._scalar(session, self._want_str(msg, "handle"))
         sigma = self._want_number(msg, "sigma")
         if session.sim is None:
-            session.sim = self.ledger_for(session.user).fork_simulated()
-        decision, spends = simulate_publish(scalar, sigma, session.sim, session.user.policy)
-        payload = {
+            session.sim = session.user.ledger.fork_simulated()
+        decision, spends = simulate_publish(scalar, sigma, session.sim, self.policy)
+        return {
             "passed": decision.ok,
             "spends": [spend_wire(s) for s in spends],
-            "rejection": None,
+            "rejection": None if decision.ok else rejection_wire(decision.violations),
         }
-        if not decision.ok:
-            payload["rejection"] = {
-                "entities": [e for e, _ in decision.violations],
-                "projected_eps": [eps for _, eps in decision.violations],
-            }
-        return payload
 
     def _op_fork_sim(self, session: NodeSession, msg: dict) -> dict:
-        session.sim = self.ledger_for(session.user).fork_simulated()
+        session.sim = session.user.ledger.fork_simulated()
         return {"forked": True}
 
     def _op_remaining_budget(self, session: NodeSession, msg: dict) -> dict:
         entity = self._want_str(msg, "entity")
-        ledger = self.ledger_for(session.user)
-        policy = session.user.policy
+        ledger, policy = session.user.ledger, self.policy
         known = self.known_entities() | set(ledger.entities())
         if entity == "*":
             return {"remaining": {e: remaining_budget(ledger, e, policy) for e in sorted(known)}}

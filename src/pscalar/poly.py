@@ -6,7 +6,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
-DEFAULT_TERM_LIMIT = 100_000
+#: Most terms a product may hold before it is refused.
+TERM_LIMIT = 100_000
 
 
 class PolynomialError(ValueError):
@@ -18,7 +19,7 @@ class MissingVariableError(PolynomialError):
 
 
 class TermLimitError(PolynomialError):
-    """An operation would exceed the configured term-count cap."""
+    """An operation would exceed the term-count cap ``TERM_LIMIT``."""
 
 
 class NonFiniteError(PolynomialError):
@@ -290,16 +291,14 @@ class Polynomial:
         c = _require_finite(c, "scale factor")
         return Polynomial({m: c * coeff for m, coeff in self._terms.items()})
 
-    def mul(self, other: "Polynomial", term_limit: int = DEFAULT_TERM_LIMIT) -> "Polynomial":
+    def mul(self, other: "Polynomial") -> "Polynomial":
         out: dict[Monomial, float] = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
                 m = m1 * m2
                 out[m] = out.get(m, 0.0) + c1 * c2
-            if len(out) > term_limit:
-                raise TermLimitError(
-                    f"product exceeds the term cap of {term_limit} terms"
-                )
+            if len(out) > TERM_LIMIT:
+                raise TermLimitError(f"product exceeds the term cap of {TERM_LIMIT} terms")
         return Polynomial(out)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
@@ -307,7 +306,7 @@ class Polynomial:
             return NotImplemented
         return self.mul(other)
 
-    def power(self, k: int, term_limit: int = DEFAULT_TERM_LIMIT) -> "Polynomial":
+    def power(self, k: int) -> "Polynomial":
         if not isinstance(k, int) or k < 0:
             raise PolynomialError(f"exponent must be a non-negative integer, got {k!r}")
         out = Polynomial.constant(1.0)
@@ -315,10 +314,10 @@ class Polynomial:
         e = k
         while e:
             if e & 1:
-                out = out.mul(base, term_limit=term_limit)
+                out = out.mul(base)
             e >>= 1
             if e:
-                base = base.mul(base, term_limit=term_limit)
+                base = base.mul(base)
         return out
 
     def __pow__(self, k: int) -> "Polynomial":

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NewType
 
 from .poly import (
-    DEFAULT_TERM_LIMIT,
     Interval,
     Monomial,
     Polynomial,
@@ -154,23 +154,21 @@ class PrivateScalar:
             out[v] = rec
         return out
 
-    def _binary(self, other, combine, term_limit: int) -> "PrivateScalar":
+    def _binary(self, other, combine) -> "PrivateScalar":
         if isinstance(other, PrivateScalar):
-            return PrivateScalar(
-                combine(self.poly, other.poly, term_limit), self._merged_inputs(other)
-            )
+            return PrivateScalar(combine(self.poly, other.poly), self._merged_inputs(other))
         if isinstance(other, numbers.Real):
             const = Polynomial.constant(float(other))
-            return PrivateScalar(combine(self.poly, const, term_limit), dict(self.inputs))
+            return PrivateScalar(combine(self.poly, const), dict(self.inputs))
         return NotImplemented
 
     def __add__(self, other):
-        return self._binary(other, lambda a, b, _: a + b, DEFAULT_TERM_LIMIT)
+        return self._binary(other, operator.add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._binary(other, lambda a, b, _: a - b, DEFAULT_TERM_LIMIT)
+        return self._binary(other, operator.sub)
 
     def __rsub__(self, other):
         negated = -self
@@ -179,7 +177,7 @@ class PrivateScalar:
     def __mul__(self, other):
         if isinstance(other, numbers.Real):
             return self.scale(float(other))
-        return self._binary(other, lambda a, b, lim: a.mul(b, term_limit=lim), DEFAULT_TERM_LIMIT)
+        return self._binary(other, operator.mul)
 
     __rmul__ = __mul__
 

@@ -14,11 +14,10 @@ on the wire.
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import Any, Sequence
 
 from .accounting import RdpSpend
 from .mechanism import PublishReceipt
-from .poly import VarId
 from .scalar import PrivateScalar
 
 #: Keys that carry private per-entity data in owner-side structures.  They are
@@ -42,20 +41,20 @@ def decode(line: bytes | str) -> dict:
     return msg
 
 
-def varid_wire(v: VarId) -> dict:
-    return {"entity": v.entity, "attribute": v.attribute}
-
-
-def varid_from_wire(obj: dict) -> VarId:
-    return VarId(str(obj["entity"]), str(obj.get("attribute", "")))
-
-
 def spend_wire(spend: RdpSpend) -> dict:
     return {
         "entity": spend.entity.entity,
         "attribute": spend.entity.attribute,
         "lipschitz": spend.lipschitz,
         "rho": spend.rho,
+    }
+
+
+def rejection_wire(violations: Sequence[tuple[str, float]]) -> dict:
+    """A budget refusal: the entities over the cap and their projected epsilons."""
+    return {
+        "entities": [e for e, _ in violations],
+        "projected_eps": [eps for _, eps in violations],
     }
 
 

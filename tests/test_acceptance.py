@@ -337,7 +337,7 @@ def test_c06_simulation_leaves_no_trace(tmp_path):
                 "id": 1000 + i, "op": "simulate_publish", "handle": sim_mean, "sigma": sigma,
             })
             assert resp["ok"]
-        assert sim_node.ledger_for(sim_session.user).cumulative == {}
+        assert sim_session.user.ledger.cumulative == {}
         assert not (tmp_path / "sims" / "ledger-user-u.log").exists() or (
             (tmp_path / "sims" / "ledger-user-u.log").read_bytes() == b""
         )
@@ -351,8 +351,8 @@ def test_c06_simulation_leaves_no_trace(tmp_path):
         assert out_plain["ok"] and out_sim["ok"]
         assert out_plain["value"] == out_sim["value"]
         assert out_plain["spends"] == out_sim["spends"]
-        led_a = plain_node.ledger_for(plain_session.user)
-        led_b = sim_node.ledger_for(sim_session.user)
+        led_a = plain_session.user.ledger
+        led_b = sim_session.user.ledger
         assert led_a.snapshot_bytes() == led_b.snapshot_bytes()
         plain_node.close()
         sim_node.close()

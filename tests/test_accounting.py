@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -145,7 +146,6 @@ def test_ledger_record_and_totals():
     assert led.total("B") == 0.5
     assert led.total("missing") == 0.0
     assert led.entities() == frozenset({"A", "B"})
-    assert [e.publish_id for e in led.history] == ["p000001", "p000001", "p000002"]
 
 
 def test_ledger_aggregates_attributes_per_entity():
@@ -194,11 +194,11 @@ def test_closed_journal_refuses_records(tmp_path):
     led = PrivacyLedger(journal_path=path)
     led.record([_spend("A", 0.1)], led.next_publish_id())
     led.close()
-    before, history = led.snapshot_bytes(), led.history
+    before = led.snapshot_bytes()
     with pytest.raises(LedgerError):
         led.record([_spend("A", 0.1)], "p000002")
     # memory and journal still agree, so a restart charges what was charged
-    assert led.snapshot_bytes() == before and led.history == history
+    assert led.snapshot_bytes() == before
     assert PrivacyLedger.replayed(path).snapshot_bytes() == before
     # a ledger without a journal has nothing to fall behind
     mem = PrivacyLedger()
@@ -239,11 +239,29 @@ def test_fork_is_isolated_and_journal_free(tmp_path):
     led.close()
 
 
-def test_history_and_cumulative_are_copies():
+def test_cumulative_is_a_copy():
     led = PrivacyLedger()
     led.record([_spend("A", 0.1)], led.next_publish_id())
     led.cumulative["A"] = 999.0
     assert led.total("A") == 0.1
+
+
+def test_ledger_memory_does_not_grow_with_releases():
+    # memory holds one total per entity; only the journal keeps each release
+    spends = [_spend(f"e{i:04d}", 1e-6) for i in range(1000)]
+    led = PrivacyLedger()
+    led.record(spends, led.next_publish_id())
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(50):
+            led.record(spends, led.next_publish_id())
+        fork = led.fork_simulated()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert fork.snapshot_bytes() == led.snapshot_bytes()
+    assert grown < 200_000, grown
 
 
 # -- filter ----------------------------------------------------------------------------
@@ -269,7 +287,6 @@ def test_filter_is_pure():
     filter_check(led, [_spend("A", 100.0)], pol)
     filter_check(led, [_spend("A", 1e-9)], pol)
     assert led.snapshot_bytes() == before
-    assert len(led.history) == 1
 
 
 def test_filter_aggregates_same_entity_within_release():

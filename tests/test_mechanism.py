@@ -63,8 +63,10 @@ def test_publish_happy_path(tmp_path):
     assert receipt.value == 50.0 + GaussianNoiseSource(seed=5).sample(100.0)
     assert [s.entity.label() for s in receipt.spends] == ["A"]
     assert led.total("A") == receipt.spends[0].rho == 50.0**2 / (2 * 100.0**2)
-    # journal already flushed by the time the receipt exists
-    assert len((tmp_path / "j.log").read_text().splitlines()) == 1
+    # journal already flushed by the time the receipt exists, with its timestamp
+    lines = (tmp_path / "j.log").read_text().splitlines()
+    assert len(lines) == 1
+    assert lines[-1].split("\t")[3] == receipt.timestamp
     led.close()
 
 

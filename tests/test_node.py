@@ -372,7 +372,7 @@ def test_sigma_whose_square_is_not_normal_is_a_bad_request(tmp_path):
     s = authed_session(node)
     roots = call(node, s, "get_roots", dataset="people")["roots"]
     assert call(node, s, "publish", handle=roots[1]["handle"], sigma=300.0)["ok"]
-    ledger = node.ledger_for(s.user)
+    ledger = s.user.ledger
     before = ledger.snapshot_bytes()
     # 2*sigma^2 underflows to 0 at 1e-300 and overflows at 1e160
     for sigma in (1e-300, 1e160):
@@ -389,14 +389,14 @@ def test_huge_integer_numbers_are_a_bad_request(tmp_path):
     node.add_user("u1", key="k1", persist=False)
     s = authed_session(node)
     h = call(node, s, "get_roots", dataset="people")["roots"][0]["handle"]
-    before = node.ledger_for(s.user).snapshot_bytes()
+    before = s.user.ledger.snapshot_bytes()
     for op, params in (
         ("publish", {"handle": h, "sigma": 10**400}),
         ("unop", {"kind": "scale", "handle": h, "c": 10**400}),
     ):
         resp = call(node, s, op, **params)
         assert resp["error"]["code"] == "bad_request", (op, resp)
-    assert node.ledger_for(s.user).snapshot_bytes() == before
+    assert s.user.ledger.snapshot_bytes() == before
     node.close()
 
 
@@ -414,7 +414,7 @@ def test_overflowing_slope_bound_is_a_bad_request(tmp_path):
     signed = call(node, s, "get_roots", dataset="signed")["roots"]
     assert call(node, s, "simulate_publish", handle=people[1]["handle"], sigma=300.0)["passed"]
     sim_before = s.sim.snapshot_bytes()
-    real_before = node.ledger_for(s.user).snapshot_bytes()
+    real_before = s.user.ledger.snapshot_bytes()
     for root, k in itertools.product((people[0], signed[0]), (10**6, 10**400)):
         p = call(node, s, "unop", kind="pow", handle=root["handle"], k=k)
         assert p["ok"], p
@@ -422,7 +422,7 @@ def test_overflowing_slope_bound_is_a_bad_request(tmp_path):
             resp = call(node, s, op, handle=p["handle"], sigma=300.0)
             assert resp["error"]["code"] == "bad_request", (op, k, resp)
     assert s.sim.snapshot_bytes() == sim_before
-    assert node.ledger_for(s.user).snapshot_bytes() == real_before
+    assert s.user.ledger.snapshot_bytes() == real_before
     node.close()
 
 
@@ -456,12 +456,12 @@ def test_publish_after_close_is_refused_and_not_journaled(tmp_path):
     assert call(node, s, "publish", handle=h, sigma=300.0)["ok"]
     journal = tmp_path / "state" / "ledger-user-u1.log"
     lines = journal.read_text(encoding="utf-8")
-    before = node.ledger_for(s.user).snapshot_bytes()
+    before = s.user.ledger.snapshot_bytes()
     node.close()
     resp = call(node, s, "publish", handle=h, sigma=300.0)
     assert not resp["ok"], resp
     assert journal.read_text(encoding="utf-8") == lines
-    assert node.ledger_for(s.user).snapshot_bytes() == before
+    assert s.user.ledger.snapshot_bytes() == before
 
 
 # -- ledger scope and persistence ----------------------------------------------------------

@@ -1,0 +1,57 @@
+"""The benchmark's tracer still reaches every layer it hooks in the package."""
+
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+# Run in a child process: tracer.install patches pscalar's modules in place.
+# The child finds the package through PYTHONPATH, which conftest points at src.
+DRIVE = r"""
+import json, sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+import tracer
+
+rec = tracer.Recorder()
+tracer.install(rec, [])
+from pscalar.node import Node, NodeConfig, NodeSession
+
+tmp = Path(sys.argv[2])
+(tmp / "people.csv").write_text("entity,value,floor,ceiling\nA,3,-5,10\nB,4,-5,10\n")
+node = Node(NodeConfig(eps_cap=6.0, delta=1e-6, journal_dir=tmp / "state", seed=1))
+node.ingest(tmp / "people.csv")
+node.add_user("u", key="k", persist=False)
+session = NodeSession(peer="test")
+
+def call(op, **params):
+    resp = node.handle_request(session, {"id": 1, "op": op, **params})
+    assert resp["ok"], resp
+    return resp
+
+call("auth", key="k")
+a, b = (r["handle"] for r in call("get_roots", dataset="people")["roots"])
+ab = call("binop", kind="mul", a=a, b=b)["handle"]
+assert call("simulate_publish", handle=ab, sigma=100.0)["passed"]
+call("publish", handle=ab, sigma=100.0)
+node.close()
+stats = dict.fromkeys(("journal_bytes", "audit_bytes", "handles_live", "store_terms"), 0)
+doc = {"spans": rec.spans, "counts": rec.counts, "stats": stats}
+print(json.dumps(tracer.layer_metrics(doc)))
+"""
+
+
+def test_tracer_hooks_reach_every_layer(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", DRIVE, str(BENCH), str(tmp_path)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    metrics = json.loads(proc.stdout.strip().splitlines()[-1])
+    for name in ("sensitivity.bound_calls", "accounting.record_s",
+                 "accounting.fork_s", "mechanism.publish_s"):
+        assert metrics[name] > 0, name

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from oracles import corner_max_abs, eval_terms, grid_max_abs
 from conftest import to_terms
+from pscalar import poly
 from pscalar.poly import (
     Interval,
     MissingVariableError,
@@ -112,11 +113,13 @@ def test_power_validation():
         xA.power(-1)
 
 
-def test_term_limit_enforced():
+def test_term_limit_enforced(monkeypatch):
     # (A+B)*(A+B) with a cap of 2 possible output terms must refuse
     f = xA + xB
-    with pytest.raises(TermLimitError):
-        f.mul(f, term_limit=2)
+    with monkeypatch.context() as m:
+        m.setattr(poly, "TERM_LIMIT", 2)
+        with pytest.raises(TermLimitError):
+            f.mul(f)
     # and the default cap stops runaway blowup: (x1+..+x24)^8 has C(31,7) ~ 2.6e6 terms
     many = Polynomial.zero()
     vs = [Polynomial.variable(VarId(f"v{i}")) for i in range(24)]
