@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 from . import demos
-from .client import ClientError, PublishRejectedError, RemoteScalar, Session
+from .client import ClientError, Session
 from .node import (
     AUDIT_FILE,
     Node,
@@ -20,7 +20,7 @@ from .node import (
     users_add,
 )
 from .accounting import PrivacyLedger
-from .script import ScriptError, run_script
+from .script import ScriptError, _Runner, run_script
 
 KEY_ENV_VAR = "PSCALAR_API_KEY"
 
@@ -92,7 +92,7 @@ def _cmd_serve(args) -> int:
         if not sep or not name or not key:
             print(f"--user must look like NAME:KEY, got {spec!r}", file=sys.stderr)
             return 2
-        node.add_user(name, key=key, persist=False)
+        node.add_user(name, key)
     if not node.user_names():
         print(
             "warning: no users registered; run 'pscalar-node users add' first",
@@ -226,10 +226,7 @@ def _cmd_run(args) -> int:
         args.script,
         args.addr,
         key,
-        echo=lambda r: print(
-            f"step {r.index:3d} {'ok  ' if r.ok else 'FAIL'} {r.kind:14s} {r.detail}",
-            flush=True,
-        ),
+        echo=lambda r: print(r, flush=True),
     )
     print("report:", json.dumps(
         {
@@ -243,23 +240,49 @@ def _cmd_run(args) -> int:
     return 0 if report.ok else 1
 
 
+# let NAME = KIND ARGS...: the op step fields that each kind's words fill, in order
+_LET_FIELDS = {
+    **dict.fromkeys(("add", "sub", "mul"), ("a", "b")),
+    **dict.fromkeys(("sum", "product", "neg"), ("arg",)),
+    **dict.fromkeys(("scale", "shift"), ("arg", "c")),
+    "pow": ("arg", "k"),
+    "pick": ("arg", "index"),
+}
+# other step words: the step kind and the fields their words fill, in order
+_STEP_WORDS = {
+    "simulate": ("simulate", ("target", "sigma")),
+    "publish": ("publish", ("target", "sigma")),
+    "budget": ("budget", ("entity",)),
+    "fork": ("fork_sim", ()),
+}
+
+
+def _repl_step(cmd: str, rest: list[str]) -> dict:
+    """The script step that a REPL line stands for."""
+    if cmd == "load":  # load DATASET as NAME
+        if len(rest) != 3 or rest[1] != "as":
+            raise ScriptError("usage: load DATASET as NAME")
+        return {"step": "load", "dataset": rest[0], "as": rest[2]}
+    if cmd == "let":  # let NAME = KIND ARGS...
+        if len(rest) < 3 or rest[1] != "=":
+            raise ScriptError("usage: let NAME = KIND ARGS...")
+        kind = rest[2]
+        return {"step": "op", "kind": kind, "as": rest[0],
+                **dict(zip(_LET_FIELDS.get(kind, ()), rest[3:]))}
+    if cmd in _STEP_WORDS:
+        kind, fields = _STEP_WORDS[cmd]
+        return {"step": kind, **dict(zip(fields, rest))}
+    raise ScriptError(
+        f"unknown command {cmd!r} "
+        "(try: datasets load let describe simulate publish budget fork quit)"
+    )
+
+
 class _Repl:
-    """Line-oriented interactive client."""
+    """Line syntax over the script runner: most lines are one script step."""
 
-    def __init__(self, session: Session):
-        self.session = session
-        self.names: dict[str, object] = {}
-
-    def lookup(self, name: str):
-        if name not in self.names:
-            raise ClientError(f"unknown name {name!r}")
-        return self.names[name]
-
-    def scalar(self, name: str) -> RemoteScalar:
-        value = self.lookup(name)
-        if isinstance(value, list):
-            raise ClientError(f"{name!r} is a list; pick or fold it first")
-        return value
+    def __init__(self, runner: _Runner):
+        self.runner = runner
 
     def handle(self, line: str) -> str | None:
         words = shlex.split(line)
@@ -268,57 +291,12 @@ class _Repl:
         cmd, rest = words[0], words[1:]
         if cmd in ("quit", "exit"):
             raise EOFError
+        session = self.runner.sessions["main"]
         if cmd == "datasets":
-            return "\n".join(f"{d['name']} ({d['rows']} rows)" for d in self.session.datasets)
-        if cmd == "load":  # load DATASET as NAME
-            dataset, _, name = (rest + ["", "", ""])[:3]
-            if _ != "as" or not name:
-                return "usage: load DATASET as NAME"
-            self.names[name] = self.session.roots(dataset)
-            return f"{name}: {len(self.names[name])} roots"
-        if cmd == "let":  # let NAME = OP ARGS...
-            if len(rest) < 3 or rest[1] != "=":
-                return "usage: let NAME = op args..."
-            name, op, ops = rest[0], rest[2], rest[3:]
-            if op in ("add", "sub", "mul"):
-                a, b = self.scalar(ops[0]), self.scalar(ops[1])
-                self.names[name] = {"add": a + b, "sub": a - b, "mul": a * b}[op]
-            elif op in ("sum", "product"):
-                arg = self.lookup(ops[0])
-                fold = self.session.sum_of if op == "sum" else self.session.product_of
-                self.names[name] = fold(arg)
-            elif op in ("scale", "shift"):
-                a, c = self.scalar(ops[0]), float(ops[1])
-                self.names[name] = a.scale(c) if op == "scale" else a.shift(c)
-            elif op == "pow":
-                self.names[name] = self.scalar(ops[0]) ** int(ops[1])
-            elif op == "neg":
-                self.names[name] = -self.scalar(ops[0])
-            elif op == "pick":
-                self.names[name] = self.lookup(ops[0])[int(ops[1])]
-            else:
-                return f"unknown op {op!r}"
-            return f"{name} = {self.names[name]!r}"
+            return "\n".join(f"{d['name']} ({d['rows']} rows)" for d in session.datasets)
         if cmd == "describe":
-            return json.dumps(self.session.describe(self.scalar(rest[0])), indent=2)
-        if cmd == "simulate":
-            result = self.session.simulate(self.scalar(rest[0]), float(rest[1]))
-            if result.passed:
-                return "simulation: pass"
-            return f"simulation: reject {result.rejection}"
-        if cmd == "publish":
-            try:
-                result = self.session.publish(self.scalar(rest[0]), float(rest[1]))
-            except PublishRejectedError as exc:
-                return f"rejected: entities {exc.entities} projected {exc.projected_eps}"
-            return f"value {result.value:.6g} ({result.publish_id})"
-        if cmd == "budget":
-            entity = rest[0] if rest else "min"
-            return json.dumps(self.session.remaining_budget(entity))
-        if cmd == "fork":
-            self.session.fork_sim()
-            return "simulated ledger forked"
-        return f"unknown command {cmd!r} (try: datasets load let describe simulate publish budget fork quit)"
+            return json.dumps(session.describe(self.runner.scalar_binding(rest[0])), indent=2)
+        return self.runner.run_step(_repl_step(cmd, rest))
 
 
 def _cmd_repl(args) -> int:
@@ -328,7 +306,7 @@ def _cmd_repl(args) -> int:
         return 2
     with Session.connect(args.addr, key) as session:
         print(f"connected as {session.user}; 'quit' to leave")
-        repl = _Repl(session)
+        repl = _Repl(_Runner(session, args.addr, {}))
         while True:
             try:
                 line = input("pscalar> ")
@@ -339,7 +317,7 @@ def _cmd_repl(args) -> int:
                 out = repl.handle(line)
             except EOFError:
                 return 0
-            except (ClientError, ValueError, IndexError) as exc:
+            except (ClientError, ValueError, IndexError, KeyError, TypeError) as exc:
                 out = f"error: {exc}"
             if out:
                 print(out)

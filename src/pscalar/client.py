@@ -78,14 +78,9 @@ class RemoteScalar:
         self.terms = meta.get("terms")
         self.entities = meta.get("entities")
 
-    def _peer(self, other: "RemoteScalar") -> "RemoteScalar":
-        if other.session is not self.session:
-            raise ClientError("cannot mix scalars from different sessions")
-        return other
-
     def __add__(self, other):
         if isinstance(other, RemoteScalar):
-            return self.session._binop("add", self, self._peer(other))
+            return self.session._binop("add", self, other)
         if isinstance(other, numbers.Real):
             return self.shift(float(other))
         return NotImplemented
@@ -94,7 +89,7 @@ class RemoteScalar:
 
     def __sub__(self, other):
         if isinstance(other, RemoteScalar):
-            return self.session._binop("sub", self, self._peer(other))
+            return self.session._binop("sub", self, other)
         if isinstance(other, numbers.Real):
             return self.shift(-float(other))
         return NotImplemented
@@ -106,7 +101,7 @@ class RemoteScalar:
 
     def __mul__(self, other):
         if isinstance(other, RemoteScalar):
-            return self.session._binop("mul", self, self._peer(other))
+            return self.session._binop("mul", self, other)
         if isinstance(other, numbers.Real):
             return self.scale(float(other))
         return NotImplemented
@@ -227,8 +222,20 @@ class Session:
         """Public per-root metadata: handle, entity, floor, ceiling."""
         return self._call("get_roots", dataset=dataset)["roots"]
 
+    def _own(self, scalar: RemoteScalar) -> str:
+        """The handle of one of this session's scalars."""
+        if scalar.session is not self:
+            raise ClientError("cannot mix scalars from different sessions")
+        return scalar.handle
+
     def _binop(self, kind: str, a: RemoteScalar, b: RemoteScalar) -> RemoteScalar:
-        payload = self._call("binop", kind=kind, a=a.handle, b=b.handle)
+        payload = self._call("binop", kind=kind, a=a.handle, b=self._own(b))
+        return RemoteScalar(self, payload["handle"], payload.get("meta"))
+
+    def _fold(self, kind: str, scalars: list[RemoteScalar]) -> RemoteScalar:
+        if not scalars:
+            raise ClientError(f"cannot {kind} an empty list of remote scalars")
+        payload = self._call("fold", kind=kind, handles=[self._own(s) for s in scalars])
         return RemoteScalar(self, payload["handle"], payload.get("meta"))
 
     def _unop(self, kind: str, a: RemoteScalar, **extra) -> RemoteScalar:
@@ -270,18 +277,9 @@ class Session:
         self._call("drop", handle=scalar.handle)
 
     def sum_of(self, scalars: list[RemoteScalar]) -> RemoteScalar:
-        """Fold add over a non-empty list of remote scalars."""
-        if not scalars:
-            raise ClientError("cannot sum an empty list of remote scalars")
-        total = scalars[0]
-        for s in scalars[1:]:
-            total = total + s
-        return total
+        """Sum a non-empty list of remote scalars in one request."""
+        return self._fold("sum", scalars)
 
     def product_of(self, scalars: list[RemoteScalar]) -> RemoteScalar:
-        if not scalars:
-            raise ClientError("cannot multiply an empty list of remote scalars")
-        total = scalars[0]
-        for s in scalars[1:]:
-            total = total * s
-        return total
+        """Multiply a non-empty list of remote scalars in one request."""
+        return self._fold("product", scalars)

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import collections
 import csv
+import functools
 import itertools
 import json
+import operator
 import re
 import secrets
 import socketserver
@@ -32,6 +34,7 @@ from .scalar import (
     MetadataConflictError,
     PrivateScalar,
     UnsupportedOperationError,
+    sum_scalars,
 )
 from .wire import (
     assert_no_private_leakage,
@@ -255,7 +258,7 @@ class Node:
             self.shared_ledger = PrivacyLedger(journal_path=path)
         if self.journal_dir is not None:
             for record in load_users_file(self.journal_dir):
-                self.add_user(str(record["name"]), key=str(record["key"]), persist=False)
+                self.add_user(str(record["name"]), str(record["key"]))
 
     # -- administration -----------------------------------------------------------
 
@@ -264,14 +267,13 @@ class Node:
             return None
         return self.journal_dir / f"ledger-user-{name}.log"
 
-    def add_user(self, name: str, key: str | None = None, persist: bool = True) -> str:
-        """Register a user; returns the api key (freshly minted unless given)."""
+    def add_user(self, name: str, key: str) -> None:
+        """Register a user with its api key for this node's lifetime."""
         if not _NAME_RE.match(name):
             raise ValueError(f"bad user name {name!r}")
         with self._users_lock:
             if name in self._users_by_name:
                 raise ValueError(f"user {name!r} already exists")
-            key = key if key is not None else secrets.token_hex(16)
             if self.config.shared_ledger:
                 ledger = self.shared_ledger
             else:
@@ -279,11 +281,6 @@ class Node:
             account = UserAccount(name, key, ledger)
             self._users_by_name[name] = account
             self._users_by_key[key] = account
-        if persist and self.journal_dir is not None:
-            users = load_users_file(self.journal_dir)
-            users.append({"name": name, "key": key})
-            save_users_file(self.journal_dir, users)
-        return key
 
     def user_names(self) -> list[str]:
         with self._users_lock:
@@ -515,6 +512,21 @@ class Node:
         handle = self.store.add(result, owner=session.user.name)
         return {"handle": handle, "meta": self._meta(result)}
 
+    def _op_fold(self, session: NodeSession, msg: dict) -> dict:
+        kind = self._want_str(msg, "kind")
+        if kind not in ("sum", "product"):
+            raise NodeError("bad_request", f"unknown fold kind {kind!r}")
+        handles = msg.get("handles")
+        if not isinstance(handles, list) or not handles or not all(
+            isinstance(h, str) for h in handles
+        ):
+            raise NodeError("bad_request", "field 'handles' must be a non-empty list of strings")
+        scalars = [self._scalar(session, h) for h in handles]
+        # a product is folded step by step so that the term cap holds at each one
+        result = sum_scalars(scalars) if kind == "sum" else functools.reduce(operator.mul, scalars)
+        handle = self.store.add(result, owner=session.user.name)
+        return {"handle": handle, "meta": self._meta(result)}
+
     def _op_describe(self, session: NodeSession, msg: dict) -> dict:
         scalar = self._scalar(session, self._want_str(msg, "handle"))
         return {"scalar": scalar_summary(scalar)}
@@ -566,6 +578,7 @@ class Node:
         "get_roots": _op_get_roots,
         "binop": _op_binop,
         "unop": _op_unop,
+        "fold": _op_fold,
         "describe": _op_describe,
         "publish": _op_publish,
         "simulate_publish": _op_simulate,

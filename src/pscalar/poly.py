@@ -143,9 +143,6 @@ class Interval:
     def width(self) -> float:
         return self.hi - self.lo
 
-    def contains(self, x: float, slack: float = 0.0) -> bool:
-        return self.lo - slack <= x <= self.hi + slack
-
     def hull_with(self, x: float) -> "Interval":
         """Smallest interval covering both self and the point x."""
         x = _require_finite(x, "hull point")

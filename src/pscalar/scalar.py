@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import math
 import numbers
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NewType
+from typing import Iterable, Mapping
 
 from .poly import (
     Interval,
@@ -15,9 +14,6 @@ from .poly import (
     VarId,
     _require_finite,
 )
-
-# Opaque reference a remote session holds instead of the scalar itself.
-ScalarHandle = NewType("ScalarHandle", str)
 
 
 class MetadataConflictError(ValueError):
@@ -65,6 +61,17 @@ class EntityInput:
     @property
     def interval(self) -> Interval:
         return Interval(self.floor, self.ceiling)
+
+
+def _merge_inputs(out: dict[VarId, EntityInput], inputs: Mapping[VarId, EntityInput]) -> None:
+    """Add ``inputs`` to ``out``; one variable must keep one input record."""
+    for v, rec in inputs.items():
+        seen = out.get(v)
+        if seen is not None and seen != rec:
+            raise MetadataConflictError(
+                f"variable {v.label()} carries conflicting input records"
+            )
+        out[v] = rec
 
 
 class PrivateScalar:
@@ -143,20 +150,11 @@ class PrivateScalar:
 
     # -- arithmetic ---------------------------------------------------------------
 
-    def _merged_inputs(self, other: "PrivateScalar") -> dict[VarId, EntityInput]:
-        out = dict(self.inputs)
-        for v, rec in other.inputs.items():
-            seen = out.get(v)
-            if seen is not None and seen != rec:
-                raise MetadataConflictError(
-                    f"variable {v.label()} carries conflicting input records"
-                )
-            out[v] = rec
-        return out
-
     def _binary(self, other, combine) -> "PrivateScalar":
         if isinstance(other, PrivateScalar):
-            return PrivateScalar(combine(self.poly, other.poly), self._merged_inputs(other))
+            inputs = dict(self.inputs)
+            _merge_inputs(inputs, other.inputs)
+            return PrivateScalar(combine(self.poly, other.poly), inputs)
         if isinstance(other, numbers.Real):
             const = Polynomial.constant(float(other))
             return PrivateScalar(combine(self.poly, const), dict(self.inputs))
@@ -210,8 +208,18 @@ class PrivateScalar:
 
 
 def sum_scalars(scalars: Iterable[PrivateScalar]) -> PrivateScalar:
-    """Fold a collection of scalars into their sum (empty sum is the public 0)."""
-    total: PrivateScalar | None = None
+    """Sum a collection of scalars in one pass (empty sum is the public 0).
+
+    Equals the ``+`` left fold bit for bit, term and input order included.
+    """
+    terms: dict[Monomial, float] = {}
+    inputs: dict[VarId, EntityInput] = {}
     for s in scalars:
-        total = s if total is None else total + s
-    return PrivateScalar.from_public(0.0) if total is None else total
+        for m, c in s.poly.items():
+            total = terms.get(m, 0.0) + c
+            if total == 0.0:
+                del terms[m]  # as the fold does, so a later term on m goes last
+            else:
+                terms[m] = total
+        _merge_inputs(inputs, s.inputs)
+    return PrivateScalar(Polynomial(terms), inputs)

@@ -25,6 +25,7 @@ Any step may carry ``"session": NAME`` to run on a session opened by a
 from __future__ import annotations
 
 import json
+import operator
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -43,6 +44,9 @@ class StepResult:
     ok: bool
     detail: str
 
+    def __str__(self) -> str:
+        return f"step {self.index:3d} {'ok  ' if self.ok else 'FAIL'} {self.kind:14s} {self.detail}"
+
 
 @dataclass
 class ScriptReport:
@@ -52,10 +56,7 @@ class ScriptReport:
     bindings: dict = field(default_factory=dict)
 
     def summary_lines(self) -> list[str]:
-        lines = [
-            f"step {r.index:3d} {'ok  ' if r.ok else 'FAIL'} {r.kind:14s} {r.detail}"
-            for r in self.steps
-        ]
+        lines = [str(r) for r in self.steps]
         lines.append(f"result: {'PASS' if self.ok else 'FAIL'} ({len(self.steps)} steps)")
         return lines
 
@@ -79,11 +80,16 @@ def parse_script(path: str | Path) -> list[dict]:
     return steps
 
 
+_BINARY = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
+
+
 class _Runner:
-    def __init__(self, addr: str, key: str, env: dict):
+    """Runs step dicts on an open session, the ``main`` one."""
+
+    def __init__(self, session: Session, addr: str, env: dict):
         self.addr = addr
         self.env = env
-        self.sessions: dict[str, Session] = {"main": Session.connect(addr, key)}
+        self.sessions: dict[str, Session] = {"main": session}
         self.bindings: dict[str, object] = {}
         self.report = ScriptReport(ok=True)
 
@@ -147,16 +153,16 @@ class _Runner:
         bind = step.get("as")
         if not kind or not bind:
             raise ScriptError("op needs 'kind' and 'as'")
-        if kind in ("sum", "product"):
+        if kind in ("sum", "product", "pick"):
             arg = self.binding(step["arg"])
             if not isinstance(arg, list):
                 raise ScriptError(f"op {kind} needs a list binding")
-            fold = session.sum_of if kind == "sum" else session.product_of
-            result = fold(arg)
-        elif kind in ("add", "sub", "mul"):
-            a = self.scalar_binding(step["a"])
-            b = self.scalar_binding(step["b"])
-            result = {"add": a + b, "sub": a - b, "mul": a * b}[kind]
+            if kind == "pick":
+                result = arg[int(step["index"])]
+            else:
+                result = (session.sum_of if kind == "sum" else session.product_of)(arg)
+        elif kind in _BINARY:
+            result = _BINARY[kind](self.scalar_binding(step["a"]), self.scalar_binding(step["b"]))
         elif kind == "scale":
             result = self.scalar_binding(step["arg"]).scale(float(step["c"]))
         elif kind == "shift":
@@ -165,11 +171,6 @@ class _Runner:
             result = self.scalar_binding(step["arg"]) ** int(step["k"])
         elif kind == "neg":
             result = -self.scalar_binding(step["arg"])
-        elif kind == "pick":
-            arg = self.binding(step["arg"])
-            if not isinstance(arg, list):
-                raise ScriptError("op pick needs a list binding")
-            result = arg[int(step["index"])]
         else:
             raise ScriptError(f"unknown op kind {kind!r}")
         self.bindings[bind] = result
@@ -180,7 +181,7 @@ class _Runner:
     def _note_budget(self, step: dict, session: Session):
         self.report.budget_trajectory.append(
             {
-                "line": step["_line"],
+                "line": step.get("_line"),
                 "session": step.get("session", "main"),
                 "min_remaining": session.remaining_budget("min"),
             }
@@ -197,7 +198,8 @@ class _Runner:
         if expect == "reject" and result.passed:
             raise ScriptError("simulation passed but a rejection was expected")
         self._note_budget(step, session)
-        return f"simulate sigma={sigma}: {'pass' if result.passed else 'reject'}"
+        verdict = "pass" if result.passed else f"reject {result.rejection}"
+        return f"simulate sigma={sigma}: {verdict}"
 
     def step_publish(self, step: dict) -> str:
         session = self.session_for(step)
@@ -210,6 +212,7 @@ class _Runner:
             if expect != "reject":
                 raise ScriptError(
                     f"publish rejected for entities {exc.entities}"
+                    f" projected {exc.projected_eps}"
                 ) from exc
             self._note_budget(step, session)
             return f"publish sigma={sigma}: rejected as expected ({len(exc.entities)} entities)"
@@ -277,7 +280,7 @@ def run_script(
     receives one line per step as it completes.
     """
     steps = parse_script(path)
-    runner = _Runner(addr, key, dict(os.environ if env is None else env))
+    runner = _Runner(Session.connect(addr, key), addr, dict(os.environ if env is None else env))
     report = runner.report
     try:
         for index, step in enumerate(steps, 1):

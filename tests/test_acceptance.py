@@ -310,7 +310,7 @@ def test_c06_simulation_leaves_no_trace(tmp_path):
                 eps_cap=2.0, delta=1e-6, journal_dir=tmp_path / tag, seed=0xC6,
             ))
             node.ingest(str(demos.path("ages.csv")))
-            node.add_user("u", key="k", persist=False)
+            node.add_user("u", key="k")
             session = NodeSession(peer=tag)
             assert node.handle_request(session, {"id": 1, "op": "auth", "key": "k"})["ok"]
             roots = node.handle_request(
@@ -380,8 +380,8 @@ def _overlap_run(tmp_path, shared: bool):
     ))
     node.ingest(str(demos.path("hospital1.csv")))
     node.ingest(str(demos.path("hospital2.csv")))
-    node.add_user("alice", key="ka", persist=False)
-    node.add_user("bob", key="kb", persist=False)
+    node.add_user("alice", key="ka")
+    node.add_user("bob", key="kb")
 
     def session(key):
         s = NodeSession(peer=key)
@@ -544,7 +544,7 @@ def test_c10_end_to_end_demo_and_stress(tmp_path):
         )
         node = Node(NodeConfig(eps_cap=2.0, delta=1e-6, journal_dir=tmp_path / "stress", seed=1))
         node.ingest(csv)
-        node.add_user("u", key="k", persist=False)
+        node.add_user("u", key="k")
         session = NodeSession(peer="stress")
         node.handle_request(session, {"id": 1, "op": "auth", "key": "k"})
         roots = node.handle_request(session, {"id": 2, "op": "get_roots", "dataset": "wide"})["roots"]

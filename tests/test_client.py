@@ -35,8 +35,8 @@ def live(tmp_path):
         encoding="utf-8",
     )
     node.ingest(csv)
-    node.add_user("u1", key="k1", persist=False)
-    node.add_user("u2", key="k2", persist=False)
+    node.add_user("u1", key="k1")
+    node.add_user("u2", key="k2")
     server = start_server(node)
     yield server.address, node
     server.shutdown()
@@ -191,6 +191,43 @@ def test_empty_folds_rejected(live):
             s.sum_of([])
         with pytest.raises(ClientError):
             s.product_of([])
+
+
+def test_sum_of_is_one_request_and_one_handle(live, tmp_path):
+    _addr, node = live
+    csv = tmp_path / "wide.csv"
+    csv.write_text(
+        "entity,value,floor,ceiling\n" + "".join(f"w{i},{i % 7},0,10\n" for i in range(300)),
+        encoding="utf-8",
+    )
+    node.ingest(csv)
+    with connect(live) as s:
+        roots = s.roots("wide")
+        for fold in (s.sum_of, s.product_of):
+            handles, requests = len(node.store._objects), s._next_id
+            result = fold(roots)
+            assert s._next_id == requests + 1
+            assert len(node.store._objects) == handles + 1
+            assert result.entities == 300
+        assert s.sum_of(roots).terms == 300
+
+
+def test_folds_refuse_mixed_sessions_before_sending(live):
+    _addr, node = live
+    s1, s2 = connect(live), connect(live, key="k2")
+    try:
+        a1, b1, _ = s1.roots("people")
+        a2 = s2.roots("people")[0]
+        handles, requests = len(node.store._objects), (s1._next_id, s2._next_id)
+        for fold in (s1.sum_of, s1.product_of, s2.sum_of):
+            with pytest.raises(ClientError) as err:
+                fold([a1, b1, a2])
+            assert "session" in str(err.value)
+        assert (s1._next_id, s2._next_id) == requests
+        assert len(node.store._objects) == handles
+    finally:
+        s1.close()
+        s2.close()
 
 
 # -- confinement: the client process never holds raw inputs ----------------------------------

@@ -191,7 +191,7 @@ def call(node: Node, session: NodeSession, op: str, rid=99, **params) -> dict:
 def test_auth_flow(tmp_path):
     node = make_node(tmp_path)
     serve_csv(tmp_path, node)
-    node.add_user("u1", key="k1", persist=False)
+    node.add_user("u1", key="k1")
     session = NodeSession(peer="t")
     # ops before auth are refused
     resp = node.handle_request(session, {"id": 1, "op": "list_datasets"})
@@ -208,7 +208,7 @@ def test_auth_flow(tmp_path):
 
 def test_request_envelope_validation(tmp_path):
     node = make_node(tmp_path)
-    node.add_user("u1", key="k1", persist=False)
+    node.add_user("u1", key="k1")
     session = authed_session(node)
     for bad in ({"op": "list_datasets"},                      # no id
                 {"id": True, "op": "list_datasets"},          # bool id
@@ -224,8 +224,8 @@ def test_request_envelope_validation(tmp_path):
 def test_handle_isolation_between_users(tmp_path):
     node = make_node(tmp_path)
     serve_csv(tmp_path, node)
-    node.add_user("u1", key="k1", persist=False)
-    node.add_user("u2", key="k2", persist=False)
+    node.add_user("u1", key="k1")
+    node.add_user("u2", key="k2")
     s1, s2 = authed_session(node, "k1"), authed_session(node, "k2")
     roots = call(node, s1, "get_roots", dataset="people")["roots"]
     # both users may read dataset roots
@@ -249,7 +249,7 @@ def test_handle_isolation_between_users(tmp_path):
 def test_describe_exposes_only_public_data(tmp_path):
     node = make_node(tmp_path)
     serve_csv(tmp_path, node)
-    node.add_user("u1", key="k1", persist=False)
+    node.add_user("u1", key="k1")
     s = authed_session(node)
     roots = call(node, s, "get_roots", dataset="people")["roots"]
     sq = call(node, s, "unop", kind="pow", handle=roots[0]["handle"], k=2)
@@ -262,13 +262,74 @@ def test_describe_exposes_only_public_data(tmp_path):
     node.close()
 
 
+# -- fold: n-ary sum and product in one request -------------------------------------------
+
+
+def test_fold_is_one_handle_equal_to_the_binop_fold(tmp_path):
+    node = make_node(tmp_path)
+    serve_csv(tmp_path, node)
+    node.add_user("u1", key="k1")
+    s = authed_session(node)
+    handles = [r["handle"] for r in call(node, s, "get_roots", dataset="people")["roots"]]
+    # a derived operand too, so the sum has a cancellation and a repeated monomial
+    neg = call(node, s, "unop", kind="scale", handle=handles[0], c=-1.0)["handle"]
+    operands = handles + [neg, handles[1]]
+    for kind, binop in (("sum", "add"), ("product", "mul")):
+        before = len(node.store._objects)
+        folded = call(node, s, "fold", kind=kind, handles=operands)
+        assert folded["ok"], folded
+        assert len(node.store._objects) == before + 1
+        step = {"handle": operands[0]}
+        for h in operands[1:]:
+            step = call(node, s, "binop", kind=binop, a=step["handle"], b=h)
+        assert folded["meta"] == step["meta"]
+        assert (call(node, s, "describe", handle=folded["handle"])["scalar"]
+                == call(node, s, "describe", handle=step["handle"])["scalar"])
+    node.close()
+
+
+def test_fold_refuses_malformed_requests(tmp_path, monkeypatch):
+    node = make_node(tmp_path)
+    serve_csv(tmp_path, node)
+    node.add_user("u1", key="k1")
+    node.add_user("u2", key="k2")
+    s1, s2 = authed_session(node, "k1"), authed_session(node, "k2")
+    handles = [r["handle"] for r in call(node, s1, "get_roots", dataset="people")["roots"]]
+    before = len(node.store._objects)
+    for params in ({"kind": "sum", "handles": []},
+                   {"kind": "sum", "handles": handles[0]},
+                   {"kind": "sum", "handles": [handles[0], 7]},
+                   {"kind": "sum"},
+                   {"kind": "mean", "handles": handles},
+                   {"handles": handles}):
+        resp = call(node, s1, "fold", **params)
+        assert not resp["ok"] and resp["error"]["code"] == "bad_request", params
+    # another session's handle
+    mine = call(node, s1, "binop", kind="add", a=handles[0], b=handles[1])["handle"]
+    resp = call(node, s2, "fold", kind="sum", handles=[handles[2], mine])
+    assert resp["error"]["code"] == "forbidden"
+    # one entity variable with two different input records
+    var = VarId("A", "people")
+    clash = [node.store.add(PrivateScalar.make_private(var, x, 0.0, 122.0), owner="u1")
+             for x in (1.0, 2.0)]
+    resp = call(node, s1, "fold", kind="sum", handles=clash)
+    assert resp["error"]["code"] == "conflict"
+    # a product over the term cap: (A+B+C)^2 already has 6 terms
+    total = call(node, s1, "fold", kind="sum", handles=handles)["handle"]
+    monkeypatch.setattr("pscalar.poly.TERM_LIMIT", 5)
+    resp = call(node, s1, "fold", kind="product", handles=[total, total, handles[0]])
+    assert resp["error"]["code"] == "term_limit"
+    assert len(node.store._objects) == before + 4  # mine, two clashes, total
+    node.close()
+
+
 # -- confinement: no private value ever leaves on the wire --------------------------------
 
 
 def test_every_response_is_leak_scanned(tmp_path):
     node = make_node(tmp_path)
     serve_csv(tmp_path, node)
-    node.add_user("u1", key="k1", persist=False)
+    node.add_user("u1", key="k1")
     s = authed_session(node)
     secret_fragments = ("77.2512345678", "77.25123", '"value": 40', '"value": 130')
     frames = []
@@ -305,7 +366,7 @@ def test_every_response_is_leak_scanned(tmp_path):
 def test_budget_rejection_payload_shape(tmp_path):
     node = make_node(tmp_path, eps=1.0)
     serve_csv(tmp_path, node)
-    node.add_user("u1", key="k1", persist=False)
+    node.add_user("u1", key="k1")
     s = authed_session(node)
     roots = call(node, s, "get_roots", dataset="people")["roots"]
     resp = call(node, s, "publish", handle=roots[0]["handle"], sigma=1.0)
@@ -320,7 +381,7 @@ def test_budget_rejection_payload_shape(tmp_path):
 def test_publish_response_shape(tmp_path):
     node = make_node(tmp_path)
     serve_csv(tmp_path, node)
-    node.add_user("u1", key="k1", persist=False)
+    node.add_user("u1", key="k1")
     s = authed_session(node)
     roots = call(node, s, "get_roots", dataset="people")["roots"]
     resp = call(node, s, "publish", handle=roots[1]["handle"], sigma=300.0)
@@ -339,7 +400,7 @@ def test_publish_response_shape(tmp_path):
 def test_remaining_budget_shapes(tmp_path):
     node = make_node(tmp_path)
     serve_csv(tmp_path, node)
-    node.add_user("u1", key="k1", persist=False)
+    node.add_user("u1", key="k1")
     s = authed_session(node)
     roots = call(node, s, "get_roots", dataset="people")["roots"]
     call(node, s, "publish", handle=roots[2]["handle"], sigma=300.0)  # charge C
@@ -358,7 +419,7 @@ def test_remaining_budget_shapes(tmp_path):
 def test_min_budget_tie_breaks_deterministically(tmp_path):
     node = make_node(tmp_path)
     serve_csv(tmp_path, node, body="entity,value,floor,ceiling\nzz,1,0,2\naa,1,0,2\n")
-    node.add_user("u1", key="k1", persist=False)
+    node.add_user("u1", key="k1")
     s = authed_session(node)
     m = call(node, s, "remaining_budget", entity="min")
     assert m["entity"] == "aa"  # untouched budgets tie; lexicographic winner
@@ -368,7 +429,7 @@ def test_min_budget_tie_breaks_deterministically(tmp_path):
 def test_sigma_whose_square_is_not_normal_is_a_bad_request(tmp_path):
     node = make_node(tmp_path)
     serve_csv(tmp_path, node)
-    node.add_user("u1", key="k1", persist=False)
+    node.add_user("u1", key="k1")
     s = authed_session(node)
     roots = call(node, s, "get_roots", dataset="people")["roots"]
     assert call(node, s, "publish", handle=roots[1]["handle"], sigma=300.0)["ok"]
@@ -386,7 +447,7 @@ def test_sigma_whose_square_is_not_normal_is_a_bad_request(tmp_path):
 def test_huge_integer_numbers_are_a_bad_request(tmp_path):
     node = make_node(tmp_path)
     serve_csv(tmp_path, node)
-    node.add_user("u1", key="k1", persist=False)
+    node.add_user("u1", key="k1")
     s = authed_session(node)
     h = call(node, s, "get_roots", dataset="people")["roots"][0]["handle"]
     before = s.user.ledger.snapshot_bytes()
@@ -408,7 +469,7 @@ def test_overflowing_slope_bound_is_a_bad_request(tmp_path):
     node = make_node(tmp_path)
     serve_csv(tmp_path, node)
     serve_csv(tmp_path, node, body="entity,value,floor,ceiling\nA,3,-5,122\n", name="signed.csv")
-    node.add_user("u1", key="k1", persist=False)
+    node.add_user("u1", key="k1")
     s = authed_session(node)
     people = call(node, s, "get_roots", dataset="people")["roots"]
     signed = call(node, s, "get_roots", dataset="signed")["roots"]
@@ -433,7 +494,7 @@ def test_overflowing_corner_slope_is_a_bad_request(tmp_path):
     node = make_node(tmp_path)
     body = "entity,value,floor,ceiling\nA,3,-5,122\nB,1,-1e10,1e10\n"
     serve_csv(tmp_path, node, body=body, name="wide.csv")
-    node.add_user("u1", key="k1", persist=False)
+    node.add_user("u1", key="k1")
     s = authed_session(node)
     a, b = call(node, s, "get_roots", dataset="wide")["roots"]
     ab = call(node, s, "binop", kind="mul", a=a["handle"], b=b["handle"])
@@ -450,7 +511,7 @@ def test_overflowing_corner_slope_is_a_bad_request(tmp_path):
 def test_publish_after_close_is_refused_and_not_journaled(tmp_path):
     node = make_node(tmp_path)
     serve_csv(tmp_path, node)
-    node.add_user("u1", key="k1", persist=False)
+    node.add_user("u1", key="k1")
     s = authed_session(node)
     h = call(node, s, "get_roots", dataset="people")["roots"][1]["handle"]
     assert call(node, s, "publish", handle=h, sigma=300.0)["ok"]
@@ -481,8 +542,8 @@ def drain(node, session, handle, sigma):
 def test_shared_ledger_pools_users(tmp_path):
     node = make_node(tmp_path, eps=3.0, shared=True)
     serve_csv(tmp_path, node, body="entity,value,floor,ceiling\nA,50,0,122\n")
-    node.add_user("u1", key="k1", persist=False)
-    node.add_user("u2", key="k2", persist=False)
+    node.add_user("u1", key="k1")
+    node.add_user("u2", key="k2")
     s1, s2 = authed_session(node, "k1"), authed_session(node, "k2")
     h1 = call(node, s1, "get_roots", dataset="people")["roots"][0]["handle"]
     h2 = call(node, s2, "get_roots", dataset="people")["roots"][0]["handle"]
@@ -499,8 +560,8 @@ def test_shared_ledger_pools_users(tmp_path):
 def test_per_user_ledgers_are_independent(tmp_path):
     node = make_node(tmp_path, eps=3.0, shared=False)
     serve_csv(tmp_path, node, body="entity,value,floor,ceiling\nA,50,0,122\n")
-    node.add_user("u1", key="k1", persist=False)
-    node.add_user("u2", key="k2", persist=False)
+    node.add_user("u1", key="k1")
+    node.add_user("u2", key="k2")
     s1, s2 = authed_session(node, "k1"), authed_session(node, "k2")
     h1 = call(node, s1, "get_roots", dataset="people")["roots"][0]["handle"]
     h2 = call(node, s2, "get_roots", dataset="people")["roots"][0]["handle"]
@@ -517,7 +578,7 @@ def test_restart_preserves_budgets(tmp_path):
     def boot():
         node = make_node(tmp_path, eps=3.0, subdir="persist")
         node.ingest(path)
-        node.add_user("u1", key="k1", persist=False)
+        node.add_user("u1", key="k1")
         return node
 
     node = boot()
@@ -561,7 +622,7 @@ def test_user_registry_persistence(tmp_path):
 def test_audit_trail_records_publishes(tmp_path):
     node = make_node(tmp_path)
     serve_csv(tmp_path, node)
-    node.add_user("u1", key="k1", persist=False)
+    node.add_user("u1", key="k1")
     s = authed_session(node)
     roots = call(node, s, "get_roots", dataset="people")["roots"]
     call(node, s, "publish", handle=roots[1]["handle"], sigma=300.0)
@@ -582,7 +643,7 @@ def test_audit_trail_records_publishes(tmp_path):
 def test_audit_memory_is_a_bounded_ring(tmp_path):
     node = make_node(tmp_path)
     serve_csv(tmp_path, node)
-    node.add_user("u1", key="k1", persist=False)
+    node.add_user("u1", key="k1")
     s = authed_session(node)
     for rid in range(AUDIT_RING + 4):
         call(node, s, "list_datasets", rid=rid)
@@ -602,7 +663,7 @@ def test_audit_memory_is_a_bounded_ring(tmp_path):
 def test_tcp_malformed_and_auth_frames(tmp_path):
     node = make_node(tmp_path)
     serve_csv(tmp_path, node)
-    node.add_user("u1", key="k1", persist=False)
+    node.add_user("u1", key="k1")
     server = start_server(node)
     host, port = server.address
     try:
@@ -651,8 +712,8 @@ def test_serve_stops_promptly_on_sigint(tmp_path):
 def test_user_name_validation(tmp_path):
     node = make_node(tmp_path)
     with pytest.raises(ValueError):
-        node.add_user("spaces are bad", key="x", persist=False)
-    node.add_user("ok-name_1.2", key="x", persist=False)
+        node.add_user("spaces are bad", key="x")
+    node.add_user("ok-name_1.2", key="x")
     with pytest.raises(ValueError):
-        node.add_user("ok-name_1.2", key="y", persist=False)  # duplicate
+        node.add_user("ok-name_1.2", key="y")  # duplicate
     node.close()

@@ -25,7 +25,7 @@ tmp = Path(sys.argv[2])
 (tmp / "people.csv").write_text("entity,value,floor,ceiling\nA,3,-5,10\nB,4,-5,10\n")
 node = Node(NodeConfig(eps_cap=6.0, delta=1e-6, journal_dir=tmp / "state", seed=1))
 node.ingest(tmp / "people.csv")
-node.add_user("u", key="k", persist=False)
+node.add_user("u", key="k")
 session = NodeSession(peer="test")
 
 def call(op, **params):

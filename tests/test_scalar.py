@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
+import random
 
 import pytest
 
@@ -128,6 +131,39 @@ def test_from_public_and_sum():
     assert total.value() == 0.0 + 1 + 2 + 3 + 4
     assert len(total.entities()) == 5
     assert sum_scalars([]).value() == 0.0
+
+
+# coefficients that cancel exactly (1 - 1) and inexactly (0.1 + 0.2 - 0.3)
+FOLD_COEFFS = (1.0, -1.0, 2.0, -2.0, 0.5, -0.5, 0.1, 0.2, -0.3, 3.0)
+
+
+def random_part(rng: random.Random, roots: list[PrivateScalar]) -> PrivateScalar:
+    part = PrivateScalar.from_public(rng.choice(FOLD_COEFFS))
+    for _ in range(rng.randint(1, 3)):
+        term = rng.choice(roots)
+        if rng.random() < 0.5:
+            term = term * rng.choice(roots)
+        part = part + term.scale(rng.choice(FOLD_COEFFS))
+    return part
+
+
+def test_sum_scalars_equals_the_add_fold_bit_for_bit():
+    for seed in range(400):
+        rng = random.Random(seed)
+        roots = [
+            PrivateScalar.make_private(f"e{i}", rng.uniform(-5.0, 5.0), -4.0, 4.0, attribute=attr)
+            for i in range(4)
+            for attr in ("", "b")  # a second attribute of the same entity
+        ]
+        parts = [random_part(rng, roots) for _ in range(rng.randint(1, 12))]
+        one_pass = sum_scalars(parts)
+        fold = functools.reduce(operator.add, parts)
+        assert list(one_pass.poly.items()) == list(fold.poly.items()), seed
+        assert list(one_pass.inputs.items()) == list(fold.inputs.items()), seed
+        assert one_pass.value().hex() == fold.value().hex(), seed
+    a1, a2 = mk("A", 5.0, 0.0, 10.0), mk("A", 5.0, 0.0, 99.0)
+    with pytest.raises(MetadataConflictError):
+        sum_scalars([a1, mk("B", 1.0, 0.0, 1.0), a2])
 
 
 def test_division_rejected_with_guidance():

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from pscalar import demos
 from pscalar.node import Node, NodeConfig, start_server
 from pscalar.script import ScriptError, parse_script, run_script
 
@@ -17,8 +18,8 @@ def live(tmp_path):
     rows = "\n".join(f"u{i:03d},{18 + ((i * 37) % 73)},0,122" for i in range(1, 101))
     csv.write_text("entity,value,floor,ceiling\n" + rows + "\n", encoding="utf-8")
     node.ingest(csv)
-    node.add_user("alice", key="ka", persist=False)
-    node.add_user("bob", key="kb", persist=False)
+    node.add_user("alice", key="ka")
+    node.add_user("bob", key="kb")
     server = start_server(node)
     host, port = server.address
     yield f"{host}:{port}"
@@ -187,3 +188,63 @@ def test_multi_session_script(tmp_path, live):
     # per-user ledgers: bob paid, alice did not
     assert report.bindings["bob_left"] < 2.0
     assert report.bindings["alice_left"] == 2.0
+
+
+def test_binary_op_step_sends_only_its_own_kind(tmp_path):
+    # t*t of a 700-entity sum would be over the term cap; add must not build it
+    node = Node(NodeConfig(eps_cap=2.0, delta=1e-6, seed=3))
+    csv = tmp_path / "wide.csv"
+    csv.write_text(
+        "entity,value,floor,ceiling\n" + "".join(f"w{i},{i % 9},0,10\n" for i in range(700)),
+        encoding="utf-8",
+    )
+    node.ingest(csv)
+    node.add_user("alice", key="ka")
+    server = start_server(node)
+    host, port = server.address
+    try:
+        before = len(node.store._objects)
+        path = write_script(tmp_path, [
+            json.dumps({"step": "load", "dataset": "wide", "as": "rows"}),
+            json.dumps({"step": "op", "kind": "sum", "arg": "rows", "as": "t"}),
+            json.dumps({"step": "op", "kind": "add", "a": "t", "b": "t", "as": "twice"}),
+        ])
+        report = run_script(path, f"{host}:{port}", "ka")
+        assert report.ok, [r.detail for r in report.steps if not r.ok]
+        assert len(node.store._objects) == before + 2  # the sum and the add
+    finally:
+        server.shutdown()
+        server.server_close()
+        node.close()
+
+
+# (script, datasets, node options) as each demo's header comment says to serve it
+DEMOS = [
+    ("demo_mean.script", ["ages.csv"], {"eps_cap": 2.0}),
+    ("demo_simulation.script", ["ages.csv"], {"eps_cap": 2.0}),
+    ("demo_overlap.script", ["hospital1.csv", "hospital2.csv"],
+     {"eps_cap": 3.0, "shared_ledger": True}),
+]
+
+
+@pytest.mark.parametrize("script, datasets, options", DEMOS, ids=[d[0] for d in DEMOS])
+def test_bundled_demo_runs(tmp_path, script, datasets, options):
+    node = Node(NodeConfig(delta=1e-6, journal_dir=tmp_path / "n", seed=5, **options))
+    for name in datasets:
+        node.ingest(demos.path(name))
+    node.add_user("alice", key="ka")
+    node.add_user("bob", key="kb")
+    server = start_server(node)
+    host, port = server.address
+    try:
+        report = run_script(demos.path(script), f"{host}:{port}", "ka",
+                            env={"PSCALAR_KEY_BOB": "kb"})
+        assert report.ok, [r.detail for r in report.steps if not r.ok]
+    finally:
+        server.shutdown()
+        server.server_close()
+        node.close()
+
+
+def test_every_bundled_demo_is_run():
+    assert {d[0] for d in DEMOS} == {n for n in demos.names() if n.endswith(".script")}
