@@ -38,7 +38,6 @@ from .mechanism import (
     GaussianNoiseSource,
     PublishReceipt,
     publish,
-    release,
     simulate_publish,
 )
 from .node import (
@@ -131,7 +130,6 @@ __all__ = [
     "publish",
     "rdp_to_dp",
     "read_dataset_csv",
-    "release",
     "remaining_budget",
     "run_script",
     "simulate_publish",

@@ -6,20 +6,19 @@ import argparse
 import json
 import os
 import shlex
+import signal
 import sys
-from pathlib import Path
 
 from . import demos
 from .client import ClientError, Session
 from .node import (
-    AUDIT_FILE,
     Node,
     NodeConfig,
     NodeTCPServer,
     load_users_file,
+    read_audit,
     users_add,
 )
-from .accounting import PrivacyLedger
 from .script import ScriptError, _Runner, run_script
 
 KEY_ENV_VAR = "PSCALAR_API_KEY"
@@ -100,8 +99,10 @@ def _cmd_serve(args) -> int:
         )
     server = NodeTCPServer(node, args.host, args.port)
     try:
-        # Inside the try, so that an interrupt right after the banner still
-        # stops the node cleanly.
+        # A node started in the background inherits SIGINT ignored, so restore
+        # the default; inside the try, so that an interrupt right after the
+        # banner still stops the node cleanly.
+        signal.signal(signal.SIGINT, signal.default_int_handler)
         host, port = server.address
         print(f"pscalar-node listening on {host}:{port}", flush=True)
         server.serve_forever()
@@ -124,18 +125,8 @@ def _cmd_users(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    journal = Path(args.journal)
-    events = []
-    audit_path = journal / AUDIT_FILE
-    if audit_path.exists():
-        for line in audit_path.read_text(encoding="utf-8").splitlines():
-            if line.strip():
-                events.append(json.loads(line))
-    cumulative = {}
-    for ledger_file in sorted(journal.glob("ledger-*.log")):
-        scope = ledger_file.stem.removeprefix("ledger-")
-        cumulative[scope] = PrivacyLedger.replayed(ledger_file).cumulative
-    dump = {"events": events, "cumulative": cumulative}
+    dump = read_audit(args.journal)
+    events, cumulative = dump["events"], dump["cumulative"]
     if args.json:
         print(json.dumps(dump, indent=2, sort_keys=True))
         return 0

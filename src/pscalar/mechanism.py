@@ -68,11 +68,6 @@ class PublishReceipt:
     timestamp: str
 
 
-def release(scalar: PrivateScalar, sigma: float, source: GaussianNoiseSource) -> float:
-    """Raw noisy evaluation with no accounting; for harnesses and internals only."""
-    return scalar.value() + source.sample(sigma)
-
-
 def _check_and_record(
     scalar: PrivateScalar, sigma: float, ledger: PrivacyLedger, policy: BudgetPolicy
 ) -> tuple[FilterDecision, list[RdpSpend], str | None, str | None]:

@@ -8,7 +8,6 @@ private-value leakage.
 
 from __future__ import annotations
 
-import collections
 import csv
 import functools
 import itertools
@@ -49,9 +48,6 @@ _NAME_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
 
 USERS_FILE = "users.json"
 AUDIT_FILE = "audit.jsonl"
-#: Audit events kept in memory; the audit file keeps every one.
-AUDIT_RING = 4096
-SHARED_LEDGER_FILE = "ledger-shared.log"
 
 
 class IngestError(ValueError):
@@ -231,6 +227,25 @@ def users_add(journal_dir: str | Path, name: str) -> str:
     return key
 
 
+def read_audit(journal_dir: str | Path) -> dict:
+    """The owner's audit view of a state directory, read from its files alone.
+
+    ``events`` holds the audit file's records, one per handled request, and
+    ``cumulative`` each ledger's per-entity rho replayed from its journal,
+    keyed by the journal's scope (``shared`` or ``user-<name>``).
+    """
+    journal = Path(journal_dir)
+    audit_path = journal / AUDIT_FILE
+    lines = audit_path.read_text(encoding="utf-8").splitlines() if audit_path.exists() else []
+    return {
+        "events": [json.loads(line) for line in lines if line.strip()],
+        "cumulative": {
+            path.stem.removeprefix("ledger-"): PrivacyLedger.replayed(path).cumulative
+            for path in sorted(journal.glob("ledger-*.log"))
+        },
+    }
+
+
 class Node:
     """All owner-side state plus the request dispatcher."""
 
@@ -242,110 +257,79 @@ class Node:
             self.journal_dir.mkdir(parents=True, exist_ok=True)
         self.store = ObjectStore()
         self.noise = GaussianNoiseSource(config.seed)
-        self.datasets: dict[str, Dataset] = {}
-        self._roots: dict[str, list[str]] = {}
-        self._users_by_key: dict[str, UserAccount] = {}
-        self._users_by_name: dict[str, UserAccount] = {}
+        # dataset -> its public root records; raw values live only in the roots
+        self._roots: dict[str, list[dict]] = {}
+        self._entities: set[str] = set()
+        self._users: dict[str, UserAccount] = {}  # by api key
         self._users_lock = threading.Lock()
-        self._audit: collections.deque[dict] = collections.deque(maxlen=AUDIT_RING)
+        self._ledgers: dict[str, PrivacyLedger] = {}  # by journal scope
         self._audit_lock = threading.Lock()
         self._audit_file = None
         if self.journal_dir is not None:
             self._audit_file = open(self.journal_dir / AUDIT_FILE, "a", encoding="utf-8")
-        self.shared_ledger: PrivacyLedger | None = None
         if config.shared_ledger:
-            path = self.journal_dir / SHARED_LEDGER_FILE if self.journal_dir else None
-            self.shared_ledger = PrivacyLedger(journal_path=path)
+            self._ledger_for("")  # the one journal every account charges opens at start
         if self.journal_dir is not None:
             for record in load_users_file(self.journal_dir):
                 self.add_user(str(record["name"]), str(record["key"]))
 
     # -- administration -----------------------------------------------------------
 
-    def _ledger_path(self, name: str) -> Path | None:
-        if self.journal_dir is None or self.config.shared_ledger:
-            return None
-        return self.journal_dir / f"ledger-user-{name}.log"
+    def _ledger_for(self, name: str) -> PrivacyLedger:
+        """The ledger that user ``name`` charges: the shared one, or its own."""
+        scope = "shared" if self.config.shared_ledger else f"user-{name}"
+        if scope not in self._ledgers:
+            path = self.journal_dir / f"ledger-{scope}.log" if self.journal_dir else None
+            self._ledgers[scope] = PrivacyLedger(journal_path=path)
+        return self._ledgers[scope]
 
     def add_user(self, name: str, key: str) -> None:
         """Register a user with its api key for this node's lifetime."""
         if not _NAME_RE.match(name):
             raise ValueError(f"bad user name {name!r}")
         with self._users_lock:
-            if name in self._users_by_name:
+            if any(account.name == name for account in self._users.values()):
                 raise ValueError(f"user {name!r} already exists")
-            if self.config.shared_ledger:
-                ledger = self.shared_ledger
-            else:
-                ledger = PrivacyLedger(journal_path=self._ledger_path(name))
-            account = UserAccount(name, key, ledger)
-            self._users_by_name[name] = account
-            self._users_by_key[key] = account
+            if key in self._users:
+                raise ValueError(f"user {name!r} reuses the api key of another user")
+            self._users[key] = UserAccount(name, key, self._ledger_for(name))
 
     def user_names(self) -> list[str]:
         with self._users_lock:
-            return sorted(self._users_by_name)
+            return sorted(account.name for account in self._users.values())
 
     def ingest(self, path: str | Path, name: str | None = None) -> str:
         """Load a dataset column and mint one root scalar per row."""
         ds = read_dataset_csv(path, name)
-        if ds.name in self.datasets:
+        if ds.name in self._roots:
             raise IngestError(f"dataset {ds.name!r} already loaded")
-        handles = []
+        roots = []
         for row in ds.rows:
             var = VarId(row.entity, ds.name)
             scalar = PrivateScalar.make_private(var, row.value, row.floor, row.ceiling)
-            handles.append(self.store.add(scalar, owner=None))
-        self.datasets[ds.name] = ds
-        self._roots[ds.name] = handles
+            handle = self.store.add(scalar, owner=None)
+            roots.append(
+                {"handle": handle, "entity": row.entity, "floor": row.floor, "ceiling": row.ceiling}
+            )
+        self._roots[ds.name] = roots
+        self._entities.update(row.entity for row in ds.rows)
         return ds.name
-
-    def known_entities(self) -> set[str]:
-        out: set[str] = set()
-        for ds in self.datasets.values():
-            out.update(row.entity for row in ds.rows)
-        return out
 
     # -- audit ---------------------------------------------------------------------
 
     def _audit_event(self, event: dict) -> None:
         with self._audit_lock:
-            self._audit.append(event)
             if self._audit_file is not None:
                 self._audit_file.write(json.dumps(event, separators=(",", ":")) + "\n")
                 self._audit_file.flush()
 
-    def audit_dump(self) -> dict:
-        """Owner-side view: recent request history and per-entity cumulative rho."""
-        with self._audit_lock:
-            events = list(self._audit)
-        if self.config.shared_ledger:
-            cumulative = {"shared": self.shared_ledger.cumulative}
-        else:
-            with self._users_lock:
-                cumulative = {
-                    name: acct.ledger.cumulative
-                    for name, acct in sorted(self._users_by_name.items())
-                }
-        return {
-            "eps_cap": self.policy.eps_cap,
-            "delta": self.policy.delta,
-            "shared_ledger": self.config.shared_ledger,
-            "users": self.user_names(),
-            "datasets": sorted(self.datasets),
-            "events": events,
-            "cumulative": cumulative,
-        }
-
     def close(self) -> None:
-        if self._audit_file is not None:
-            self._audit_file.close()
-            self._audit_file = None
-        if self.shared_ledger is not None:
-            self.shared_ledger.close()
-        with self._users_lock:
-            for acct in self._users_by_name.values():
-                acct.ledger.close()
+        with self._audit_lock:
+            if self._audit_file is not None:
+                self._audit_file.close()
+                self._audit_file = None
+        for ledger in self._ledgers.values():
+            ledger.close()
 
     # -- request dispatch -------------------------------------------------------------
 
@@ -451,7 +435,7 @@ class Node:
 
     def _op_auth(self, session: NodeSession, msg: dict) -> dict:
         key = self._want_str(msg, "key")
-        account = self._users_by_key.get(key)
+        account = self._users.get(key)
         if account is None:
             raise NodeError("auth_failed", "invalid api key")
         session.user = account
@@ -460,26 +444,15 @@ class Node:
     def _op_list_datasets(self, session: NodeSession, msg: dict) -> dict:
         return {
             "datasets": [
-                {"name": name, "rows": len(ds.rows)}
-                for name, ds in sorted(self.datasets.items())
+                {"name": name, "rows": len(roots)} for name, roots in sorted(self._roots.items())
             ]
         }
 
     def _op_get_roots(self, session: NodeSession, msg: dict) -> dict:
         name = self._want_str(msg, "dataset")
-        if name not in self.datasets:
+        if name not in self._roots:
             raise NodeError("unknown_dataset", f"no dataset named {name!r}")
-        ds = self.datasets[name]
-        roots = [
-            {
-                "handle": handle,
-                "entity": row.entity,
-                "floor": row.floor,
-                "ceiling": row.ceiling,
-            }
-            for handle, row in zip(self._roots[name], ds.rows)
-        ]
-        return {"dataset": name, "roots": roots}
+        return {"dataset": name, "roots": self._roots[name]}
 
     def _op_binop(self, session: NodeSession, msg: dict) -> dict:
         kind = self._want_str(msg, "kind")
@@ -556,7 +529,7 @@ class Node:
     def _op_remaining_budget(self, session: NodeSession, msg: dict) -> dict:
         entity = self._want_str(msg, "entity")
         ledger, policy = session.user.ledger, self.policy
-        known = self.known_entities() | set(ledger.entities())
+        known = self._entities | ledger.entities()
         if entity == "*":
             return {"remaining": {e: remaining_budget(ledger, e, policy) for e in sorted(known)}}
         if entity == "min":

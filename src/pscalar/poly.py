@@ -139,10 +139,6 @@ class Interval:
         x = _require_finite(x, "interval point")
         return cls(x, x)
 
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
     def hull_with(self, x: float) -> "Interval":
         """Smallest interval covering both self and the point x."""
         x = _require_finite(x, "hull point")
@@ -150,17 +146,6 @@ class Interval:
 
     def abs_max(self) -> float:
         return max(abs(self.lo), abs(self.hi))
-
-    def __add__(self, other: "Interval") -> "Interval":
-        return Interval(self.lo + other.lo, self.hi + other.hi)
-
-    def __neg__(self) -> "Interval":
-        return Interval(-self.hi, -self.lo)
-
-    def scale(self, c: float) -> "Interval":
-        c = _require_finite(c, "scale factor")
-        a, b = c * self.lo, c * self.hi
-        return Interval(min(a, b), max(a, b))
 
     def __mul__(self, other: "Interval") -> "Interval":
         products = (
@@ -379,10 +364,6 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         return self._terms == other._terms
-
-    def __ne__(self, other) -> bool:
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
 
     __hash__ = None  # mutable-ish container semantics; not usable as a dict key
 

@@ -124,12 +124,6 @@ class PrivateScalar:
     def entities(self) -> frozenset[VarId]:
         return frozenset(self.inputs)
 
-    def input_for(self, v: VarId) -> EntityInput:
-        try:
-            return self.inputs[v]
-        except KeyError:
-            raise UnknownEntityError(f"entity {v.label()} does not contribute here") from None
-
     def box(self) -> dict[VarId, Interval]:
         """Public box: every entity variable's [floor, ceiling] interval."""
         return {v: rec.interval for v, rec in self.inputs.items()}

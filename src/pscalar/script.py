@@ -81,6 +81,8 @@ def parse_script(path: str | Path) -> list[dict]:
 
 
 _BINARY = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
+# steps after which a script's report notes the session's least remaining budget
+_BUDGET_NOTED = ("simulate", "publish", "expect_reject")
 
 
 class _Runner:
@@ -178,12 +180,12 @@ class _Runner:
             return f"{bind} = {kind} (degree {result.degree}, {result.entities} entities)"
         return f"{bind} = {kind}"
 
-    def _note_budget(self, step: dict, session: Session):
+    def _note_budget(self, step: dict):
         self.report.budget_trajectory.append(
             {
                 "line": step.get("_line"),
                 "session": step.get("session", "main"),
-                "min_remaining": session.remaining_budget("min"),
+                "min_remaining": self.session_for(step).remaining_budget("min"),
             }
         )
 
@@ -197,7 +199,6 @@ class _Runner:
             raise ScriptError(f"simulation was rejected: {result.rejection}")
         if expect == "reject" and result.passed:
             raise ScriptError("simulation passed but a rejection was expected")
-        self._note_budget(step, session)
         verdict = "pass" if result.passed else f"reject {result.rejection}"
         return f"simulate sigma={sigma}: {verdict}"
 
@@ -214,13 +215,11 @@ class _Runner:
                     f"publish rejected for entities {exc.entities}"
                     f" projected {exc.projected_eps}"
                 ) from exc
-            self._note_budget(step, session)
             return f"publish sigma={sigma}: rejected as expected ({len(exc.entities)} entities)"
         if expect == "reject":
             raise ScriptError("publish passed but a rejection was expected")
         if step.get("as"):
             self.bindings[step["as"]] = result.value
-        self._note_budget(step, session)
         return f"publish sigma={sigma}: value {result.value:.6g} ({result.publish_id})"
 
     def step_expect_reject(self, step: dict) -> str:
@@ -287,6 +286,8 @@ def run_script(
             kind = step["step"]
             try:
                 detail = runner.run_step(step)
+                if kind in _BUDGET_NOTED:
+                    runner._note_budget(step)
             except (ScriptError, ClientError, KeyError, IndexError, TypeError, ValueError) as exc:
                 detail = f"line {step['_line']}: {exc}"
                 report.steps.append(StepResult(index, kind, False, detail))

@@ -30,7 +30,7 @@ def to_box(scalar: PrivateScalar, *, include_origin: bool = False):
     """Oracle box (label -> (lo, hi)) for a scalar, optionally hulled with 0."""
     box = {}
     for v in scalar.entities():
-        rec = scalar.input_for(v)
+        rec = scalar.inputs[v]
         lo, hi = rec.floor, rec.ceiling
         if include_origin:
             lo, hi = min(lo, 0.0), max(hi, 0.0)

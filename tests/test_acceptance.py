@@ -42,8 +42,8 @@ from pscalar.accounting import (
     rdp_to_dp,
     spend_for_publish,
 )
-from pscalar.mechanism import BudgetRejected, GaussianNoiseSource, publish, release
-from pscalar.node import Node, NodeConfig, NodeSession
+from pscalar.mechanism import BudgetRejected, GaussianNoiseSource, publish
+from pscalar.node import Node, NodeConfig, NodeSession, read_audit
 from pscalar.poly import VarId
 from pscalar.scalar import PrivateScalar
 from pscalar.sensitivity import FIRST_DEGREE, MONOTONE_CEILING, lipschitz_bound
@@ -430,18 +430,18 @@ def test_c07_overlapping_datasets_share_budgets(tmp_path):
             want = golden_eps(5 * h1[entity] ** 2 / (2.0 * 200.0**2), 1e-6)
             assert projected == pytest.approx(want, rel=1e-9)
         # what the shared ledger actually accepted keeps EVERY entity within cap
-        pooled = node.audit_dump()["cumulative"]["shared"]
-        assert all(golden_eps(total, 1e-6) <= 3.0 + 1e-9 for total in pooled.values())
         node.close()
+        pooled = read_audit(tmp_path / "shared")["cumulative"]["shared"]
+        assert all(golden_eps(total, 1e-6) <= 3.0 + 1e-9 for total in pooled.values())
 
         node2, results2 = _overlap_run(tmp_path, shared=False)
         assert all(r["ok"] for r in results2)  # separate ledgers never collide
         # but the COMBINED spend on shared entities exceeds the cap:
-        cumulative = node2.audit_dump()["cumulative"]
-        for entity in shared_entities:
-            combined = cumulative["alice"][entity] + cumulative["bob"][entity]
-            assert golden_eps(combined, 1e-6) > 3.0
         node2.close()
+        cumulative = read_audit(tmp_path / "peruser")["cumulative"]
+        for entity in shared_entities:
+            combined = cumulative["user-alice"][entity] + cumulative["user-bob"][entity]
+            assert golden_eps(combined, 1e-6) > 3.0
         print(f"  shared mode rejected exactly {rejection['entities']}", flush=True)
 
 
@@ -456,7 +456,7 @@ def test_c08_noise_is_calibrated_gaussian():
         sigma = 5.0
         src = GaussianNoiseSource(seed=0xC8)
         n = 100_000
-        values = [release(f, sigma, src) for _ in range(n)]
+        values = [f.value() + src.sample(sigma) for _ in range(n)]
         mean = sum(values) / n
         var = statistics.variance(values, xbar=mean)
         assert abs(mean - true_value) <= 4.0 * sigma / math.sqrt(n)
@@ -532,7 +532,12 @@ def test_c10_end_to_end_demo_and_stress(tmp_path):
             assert report["ok"] is True
         finally:
             proc.send_signal(signal.SIGINT)
-            proc.wait(timeout=10)
+            try:
+                proc.wait(timeout=10)
+            except subprocess.TimeoutExpired:
+                proc.kill()  # fail without leaving the node running
+                proc.wait()
+                raise
 
         # stress: a 12-way product whose slope needs 2^11 corner evaluations
         # per entity (negative floors rule the cheaper routes out)

@@ -12,7 +12,6 @@ from pscalar.mechanism import (
     BudgetRejected,
     GaussianNoiseSource,
     publish,
-    release,
     simulate_publish,
 )
 from pscalar.poly import VarId
@@ -41,13 +40,6 @@ def test_noise_source_validation():
     for bad in (0.0, -2.0, math.inf, math.nan):
         with pytest.raises(ValueError):
             src.sample(bad)
-
-
-def test_release_is_value_plus_noise():
-    f = mk("A", 50.0, 0.0, 122.0)
-    got = release(f, 7.0, GaussianNoiseSource(seed=9))
-    want = f.value() + GaussianNoiseSource(seed=9).sample(7.0)
-    assert got == want
 
 
 # -- real publish ----------------------------------------------------------------------

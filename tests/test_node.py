@@ -13,14 +13,15 @@ import time
 import pytest
 
 from oracles import rho_cap
+from pscalar.cli import node_main
 from pscalar.node import (
     AUDIT_FILE,
-    AUDIT_RING,
     IngestError,
     Node,
     NodeConfig,
     NodeSession,
     load_users_file,
+    read_audit,
     read_dataset_csv,
     start_server,
     users_add,
@@ -627,34 +628,74 @@ def test_audit_trail_records_publishes(tmp_path):
     roots = call(node, s, "get_roots", dataset="people")["roots"]
     call(node, s, "publish", handle=roots[1]["handle"], sigma=300.0)
     call(node, s, "publish", handle=roots[1]["handle"], sigma=0.0001)
-    dump = node.audit_dump()
+    node.close()
+    dump = read_audit(tmp_path / "state")
     ops = [(e["op"], e["ok"]) for e in dump["events"]]
-    assert ("auth", True) in ops and ("publish", True) in ops and ("publish", False) in ops
+    assert ops == [("auth", True), ("get_roots", True), ("publish", True), ("publish", False)]
     published = [e for e in dump["events"] if e["op"] == "publish" and e["ok"]]
     assert published[0]["publish_id"] == "p000001" and published[0]["sigma"] == 300.0
     rejected = [e for e in dump["events"] if e["op"] == "publish" and not e["ok"]]
     assert rejected[0]["rejected_entities"] == ["B"]
-    # the audit file mirrors the in-memory trail
-    audit_path = tmp_path / "state" / AUDIT_FILE
-    assert len(audit_path.read_text().splitlines()) == len(dump["events"])
-    node.close()
+    # the accepted publish is the only charge on u1's ledger
+    assert list(dump["cumulative"]) == ["user-u1"]
+    assert list(dump["cumulative"]["user-u1"]) == ["B"]
 
 
-def test_audit_memory_is_a_bounded_ring(tmp_path):
+def test_audit_file_keeps_every_request(tmp_path):
     node = make_node(tmp_path)
     serve_csv(tmp_path, node)
     node.add_user("u1", key="k1")
     s = authed_session(node)
-    for rid in range(AUDIT_RING + 4):
+    for rid in range(5000):
         call(node, s, "list_datasets", rid=rid)
-    events = node.audit_dump()["events"]
-    assert len(events) == AUDIT_RING
-    assert events[0]["op"] == "list_datasets"  # the oldest events, auth among them, are gone
-    # the audit file keeps every event, the auth included
+    # one line per request, on disk as soon as it is handled, the first auth included
     lines = (tmp_path / "state" / AUDIT_FILE).read_text().splitlines()
-    assert len(lines) == AUDIT_RING + 5
-    assert json.loads(lines[0])["op"] == "auth"
     node.close()
+    assert len(lines) == 5001
+    assert json.loads(lines[0])["op"] == "auth"
+    assert {json.loads(line)["op"] for line in lines[1:]} == {"list_datasets"}
+
+
+def test_audit_command_reads_shared_and_per_user_journals(tmp_path, capsys):
+    rho = 40.0**2 / (2.0 * 300.0**2)  # B's one-release cost: slope 1, value 40, sigma 300
+    for shared, scopes, second_id in (
+        (False, {"user-u1": rho, "user-u2": rho}, "p000001"),
+        (True, {"shared": 2.0 * rho}, "p000002"),
+    ):
+        node = make_node(tmp_path, shared=shared, subdir=f"shared-{shared}")
+        serve_csv(tmp_path, node)
+        node.add_user("u1", key="k1")
+        node.add_user("u2", key="k2")
+        s1, s2 = authed_session(node, "k1"), authed_session(node, "k2")
+        b = call(node, s1, "get_roots", dataset="people")["roots"][1]["handle"]
+        call(node, s1, "publish", handle=b, sigma=300.0)
+        call(node, s2, "publish", handle=b, sigma=300.0)
+        call(node, s2, "publish", handle=b, sigma=0.0001)
+        node.close()
+        journal = str(tmp_path / f"shared-{shared}")
+
+        assert node_main(["audit", "--journal", journal, "--json"]) == 0
+        dump = json.loads(capsys.readouterr().out)
+        assert dump == read_audit(journal)
+        assert list(dump) == ["cumulative", "events"]
+        assert {scope: totals["B"] for scope, totals in dump["cumulative"].items()} == (
+            pytest.approx(scopes, rel=1e-12))
+
+        assert node_main(["audit", "--journal", journal]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        # event lines without their timestamps
+        assert [line.split(" ", 3)[3] for line in lines[1:7]] == [
+            "u1 auth ok",
+            "u2 auth ok",
+            "u1 get_roots ok",
+            "u1 publish ok publish=p000001 sigma=300.0",
+            f"u2 publish ok publish={second_id} sigma=300.0",
+            "u2 publish err:budget_rejected rejected=B",
+        ]
+        ledger_lines = []
+        for scope in sorted(scopes):
+            ledger_lines += [f"ledger {scope}:", f"  B\trho={dump['cumulative'][scope]['B']:.17g}"]
+        assert lines == ["6 audited requests", *lines[1:7], *ledger_lines]
 
 
 # -- raw TCP framing ------------------------------------------------------------------------
@@ -688,25 +729,64 @@ def test_tcp_malformed_and_auth_frames(tmp_path):
         node.close()
 
 
-def test_serve_stops_promptly_on_sigint(tmp_path):
+def _interrupt_serve(tmp_path, **popen) -> tuple[int, float, str]:
+    """Start ``serve``, send SIGINT once it listens: (exit code, seconds to stop, stderr)."""
     path = good_csv(tmp_path, "entity,value,floor,ceiling\nA,1,0,2\n")
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "pscalar", "node", "serve", "--data", str(path), "--port", "0",
          "--eps", "1", "--delta", "1e-6", "--user", "u1:k1", "--journal", str(tmp_path / "state")],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-    )
-    try:
-        assert proc.stdout.readline().startswith("pscalar-node listening on ")
-        t0 = time.monotonic()
-        proc.send_signal(signal.SIGINT)
-        code = proc.wait(timeout=10)
-        elapsed = time.monotonic() - t0
-    finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait()
-    assert code == 0, proc.stderr.read()
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, **popen,
+    ) as proc:
+        try:
+            assert proc.stdout.readline().startswith("pscalar-node listening on ")
+            t0 = time.monotonic()
+            proc.send_signal(signal.SIGINT)
+            code = proc.wait(timeout=10)
+            elapsed = time.monotonic() - t0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        return code, elapsed, proc.stderr.read()
+
+
+def test_serve_stops_promptly_on_sigint(tmp_path):
+    code, elapsed, stderr = _interrupt_serve(tmp_path)
+    assert code == 0, stderr
     assert elapsed < 0.2, f"stop took {elapsed:.3f}s"
+
+
+def test_serve_stops_on_sigint_when_started_with_it_ignored(tmp_path):
+    # a job started with & from a non-interactive shell inherits SIGINT ignored
+    code, _elapsed, stderr = _interrupt_serve(
+        tmp_path, preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN)
+    )
+    assert code == 0, stderr
+
+
+def test_serve_refuses_a_duplicate_api_key(tmp_path):
+    path = good_csv(tmp_path, "entity,value,floor,ceiling\nA,1,0,2\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pscalar", "node", "serve", "--data", str(path), "--port", "0",
+         "--eps", "1", "--delta", "1e-6", "--user", "alice:k", "--user", "bob:k"],
+        capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""  # refused before listening
+    assert proc.stderr == "error: user 'bob' reuses the api key of another user\n"
+
+
+def test_duplicate_api_key_is_refused(tmp_path):
+    node = make_node(tmp_path)
+    serve_csv(tmp_path, node)
+    node.add_user("alice", key="k")
+    with pytest.raises(ValueError, match="api key"):
+        node.add_user("bob", key="k")
+    assert node.user_names() == ["alice"]
+    # the key still authenticates alice, and bob got no ledger
+    assert authed_session(node, "k").user.name == "alice"
+    node.close()
+    assert sorted(p.name for p in (tmp_path / "state").glob("ledger-*")) == ["ledger-user-alice.log"]
 
 
 def test_user_name_validation(tmp_path):

@@ -52,6 +52,6 @@ def test_tracer_hooks_reach_every_layer(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     metrics = json.loads(proc.stdout.strip().splitlines()[-1])
-    for name in ("sensitivity.bound_calls", "accounting.record_s",
-                 "accounting.fork_s", "mechanism.publish_s"):
+    for name in ("sensitivity.bound_calls", "accounting.record_s", "accounting.fork_s",
+                 "accounting.replay_s", "mechanism.publish_s", "node.audit_s", "node.ingest_s"):
         assert metrics[name] > 0, name

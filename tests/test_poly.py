@@ -231,8 +231,6 @@ def test_interval_primitives():
     assert Interval(-1.0, 2.0) * Interval(3.0, 4.0) == Interval(-4.0, 8.0)
     assert Interval(1.0, 2.0).hull_with(0.0) == Interval(0.0, 2.0)
     assert Interval(1.0, 2.0).hull_with(1.5) == Interval(1.0, 2.0)
-    assert (Interval(1.0, 2.0) + Interval(-1.0, 1.0)) == Interval(0.0, 3.0)
-    assert Interval(2.0, 2.0).width == 0.0
     with pytest.raises(ValueError):
         Interval(2.0, 1.0)
     with pytest.raises(ValueError):

@@ -77,6 +77,23 @@ def test_simulate_fork_publish_and_budget(repl):
     assert float(repl.handle("budget A").removeprefix("budget A: ")) < 2.0
 
 
+def test_release_lines_send_one_request_each(repl, monkeypatch):
+    repl.handle("load people as p")
+    repl.handle("let m = sum p")
+    sent = []
+    call = Session._call
+
+    def counted(self, op, **fields):
+        sent.append(op)
+        return call(self, op, **fields)
+
+    monkeypatch.setattr(Session, "_call", counted)
+    repl.handle("publish m 1000")
+    assert sent == ["publish"]
+    repl.handle("simulate m 1000")
+    assert sent == ["publish", "simulate_publish"]
+
+
 def test_bad_lines_are_errors(repl):
     repl.handle("load people as p")
     for line, error in [

@@ -56,7 +56,7 @@ def test_value_uses_clipped_inputs_everywhere():
 def test_in_range_value_passes_through_exactly():
     a = mk("A", 3.7, 0.0, 10.0)
     assert a.value() == 3.7
-    assert a.input_for(VarId("A")).clipped == 3.7
+    assert a.inputs[VarId("A")].clipped == 3.7
 
 
 # -- input records --------------------------------------------------------------------

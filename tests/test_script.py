@@ -142,6 +142,30 @@ def test_expect_reject_inverts(tmp_path, live):
     assert "line 5" in report.steps[-1].detail
 
 
+def test_budget_trajectory_notes_each_passed_release_step(tmp_path, live):
+    path = write_script(tmp_path, [
+        json.dumps({"step": "load", "dataset": "ages", "as": "people"}),
+        json.dumps({"step": "op", "kind": "sum", "arg": "people", "as": "total"}),
+        json.dumps({"step": "op", "kind": "scale", "arg": "total", "c": 0.01, "as": "mean"}),
+        json.dumps({"step": "simulate", "target": "total", "sigma": 5.0, "expect": "reject"}),
+        json.dumps({"step": "expect_reject", "target": "total", "sigma": 5.0}),
+        json.dumps({"step": "connect", "as": "second", "key_env": "OTHER_KEY"}),
+        json.dumps({"step": "load", "session": "second", "dataset": "ages", "as": "theirs"}),
+        json.dumps({"step": "op", "session": "second", "kind": "sum", "arg": "theirs", "as": "t2"}),
+        json.dumps({"step": "op", "session": "second", "kind": "scale", "arg": "t2", "c": 0.01, "as": "m2"}),
+        json.dumps({"step": "publish", "session": "second", "target": "m2", "sigma": 5.0}),
+        json.dumps({"step": "simulate", "target": "mean", "sigma": 5.0, "expect": "reject"}),
+    ])
+    report = run_script(path, live, "ka", env={"OTHER_KEY": "kb"})
+    assert not report.ok and "line 11" in report.steps[-1].detail
+    # one entry per simulate, publish or expect_reject step that passed, none for the failed one
+    trajectory = report.budget_trajectory
+    assert [(t["line"], t["session"]) for t in trajectory] == [
+        (4, "main"), (5, "main"), (10, "second")]
+    assert trajectory[0]["min_remaining"] == trajectory[1]["min_remaining"] == 2.0
+    assert trajectory[2]["min_remaining"] < 2.0
+
+
 def test_simulation_steps_and_assert_equal(tmp_path, live):
     path = write_script(tmp_path, [
         json.dumps({"step": "load", "dataset": "ages", "as": "people"}),
