@@ -84,9 +84,10 @@ class PrivateScalar:
     (zero) contribution remains visible downstream.
 
     Instances are immutable by convention: operations return new scalars.
+    ``sensitivity`` relies on that to keep shared slope facts in ``_bound_facts``.
     """
 
-    __slots__ = ("poly", "inputs")
+    __slots__ = ("poly", "inputs", "_bound_facts")
 
     def __init__(self, poly: Polynomial, inputs: Mapping[VarId, EntityInput]):
         missing = [v for v in poly.variables() if v not in inputs]
@@ -98,6 +99,7 @@ class PrivateScalar:
                 raise TypeError("inputs must map VarId to EntityInput")
         self.poly = poly
         self.inputs = dict(inputs)
+        self._bound_facts = None
 
     # -- construction ---------------------------------------------------------
 

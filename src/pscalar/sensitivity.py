@@ -51,24 +51,40 @@ def lipschitz_bound(
 
     ``include_origin`` widens the entity's own coordinate range to include
     the removal replacement value 0.
+
+    The facts all entities share are kept with the scalar (``_shared_facts``),
+    so a call costs O(entity's terms x degree), plus 2^k corners on vertex_exact.
     """
     if entity not in scalar.inputs:
         raise UnknownEntityError(f"entity {entity.label()} does not contribute to this scalar")
-    poly = scalar.poly
-    if poly.degree() <= 1:
-        coeff = poly.coefficient(Monomial.of({entity: 1}))
+    degree, own_terms, box, monotone = _shared_facts(scalar)
+    if degree <= 1:
+        coeff = scalar.poly.coefficient(Monomial.of({entity: 1}))
         return LipschitzBound(entity, abs(coeff), FIRST_DEGREE, True)
-    box = scalar.box()
-    if include_origin:
-        box[entity] = box[entity].hull_with(0.0)
-    d = poly.partial(entity)
-    if all(c >= 0 for _, c in poly.items()) and all(box[v].lo >= 0 for v in poly.variables()):
-        ceilings = {v: box[v].hi for v in d.variables()}
+    d = Polynomial(dict(own_terms.get(entity, ()))).partial(entity)
+    dbox = {v: box[v] for v in d.variables()}
+    if include_origin and entity in dbox:
+        dbox[entity] = dbox[entity].hull_with(0.0)
+    if monotone:
+        ceilings = {v: iv.hi for v, iv in dbox.items()}
         return LipschitzBound(entity, d.evaluate(ceilings), MONOTONE_CEILING, True)
-    dvars = sorted(d.variables())
+    dvars = sorted(dbox)
     if len(dvars) <= VERTEX_CAP and all(d.degree_in(v) == 1 for v in dvars):
-        return LipschitzBound(entity, _corner_max_abs(d, dvars, box), VERTEX_EXACT, True)
-    return LipschitzBound(entity, d.range_over(box).abs_max(), INTERVAL_SOUND, False)
+        return LipschitzBound(entity, _corner_max_abs(d, dvars, dbox), VERTEX_EXACT, True)
+    return LipschitzBound(entity, d.range_over(dbox).abs_max(), INTERVAL_SOUND, False)
+
+
+def _shared_facts(scalar: PrivateScalar) -> tuple:
+    """(degree, variable -> its terms in term order, unhulled box, monotone flag), once."""
+    if scalar._bound_facts is None:
+        poly, own_terms = scalar.poly, {}
+        for term in poly.items():
+            for v, _ in term[0].powers:
+                own_terms.setdefault(v, []).append(term)
+        box = scalar.box()
+        monotone = all(c >= 0 for _, c in poly.items()) and all(box[v].lo >= 0 for v in own_terms)
+        scalar._bound_facts = (poly.degree(), own_terms, box, monotone)
+    return scalar._bound_facts
 
 
 def _corner_max_abs(d: Polynomial, dvars: list[VarId], box: dict[VarId, Interval]) -> float:

@@ -40,6 +40,7 @@ def live(tmp_path):
     server = start_server(node)
     yield server.address, node
     server.shutdown()
+    server.server_close()
     node.close()
 
 
@@ -212,6 +213,28 @@ def test_sum_of_is_one_request_and_one_handle(live, tmp_path):
         assert s.sum_of(roots).terms == 300
 
 
+def test_mean_of_squares_over_2000_rows_answers_within_the_default_timeout(live, tmp_path):
+    # each rehearsal and release bounds all 2000 entities; that must stay well
+    # inside Session's default 10 s timeout over TCP
+    _addr, node = live
+    n = 2000
+    csv = tmp_path / "squares.csv"
+    csv.write_text(
+        "entity,value,floor,ceiling\n" + "".join(f"q{i:04d},{i % 123},0,122\n" for i in range(n)),
+        encoding="utf-8",
+    )
+    node.ingest(csv)
+    with connect(live) as s:
+        mean_sq = s.sum_of([r ** 2 for r in s.roots("squares")]).scale(1.0 / n)
+        sim = s.simulate(mean_sq, 100.0)
+        assert sim.passed
+        res = s.publish(mean_sq, 100.0)
+        # slope of x_i^2 / n over [0, 122] peaks at the ceiling: 2 * 122 / n
+        for spends in (sim.spends, res.spends):
+            assert len(spends) == n
+            assert all(sp["lipschitz"] == 2 * 122 / n for sp in spends)
+
+
 def test_folds_refuse_mixed_sessions_before_sending(live):
     _addr, node = live
     s1, s2 = connect(live), connect(live, key="k2")
@@ -283,11 +306,12 @@ def _one_shot_server(lines: list[bytes]):
     srv.listen(1)
 
     def run():
-        conn, _ = srv.accept()
-        conn.recv(65536)
-        for line in lines:
-            conn.sendall(line)
-        conn.close()
+        with srv:
+            conn, _ = srv.accept()
+        with conn:
+            conn.recv(65536)
+            for line in lines:
+                conn.sendall(line)
 
     threading.Thread(target=run, daemon=True).start()
     return srv.getsockname()

@@ -726,6 +726,7 @@ def test_tcp_malformed_and_auth_frames(tmp_path):
             assert resp["id"] == 42 and resp["datasets"][0]["name"] == "people"
     finally:
         server.shutdown()
+        server.server_close()
         node.close()
 
 

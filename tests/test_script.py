@@ -24,6 +24,7 @@ def live(tmp_path):
     host, port = server.address
     yield f"{host}:{port}"
     server.shutdown()
+    server.server_close()
     node.close()
 
 

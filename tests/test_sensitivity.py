@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
 
 from oracles import corner_max_abs, diff_terms, eval_terms, grid_max_abs
 from conftest import random_scalar, to_box, to_terms
-from pscalar.poly import VarId
-from pscalar.scalar import PrivateScalar, UnknownEntityError
+from pscalar.accounting import spend_for_publish
+from pscalar.poly import Polynomial, VarId
+from pscalar.scalar import PrivateScalar, UnknownEntityError, sum_scalars
 from pscalar.sensitivity import (
     FIRST_DEGREE,
     INTERVAL_SOUND,
@@ -281,3 +283,85 @@ def test_removal_shift_bounded_by_spend_ingredients():
             shift = abs(scalar.poly.evaluate(assign) - scalar.poly.evaluate(removed))
             allowed = res.bound * abs(assign[entity])
             assert shift <= allowed + 1e-7 * max(1.0, allowed)
+
+
+# -- facts shared across entities ------------------------------------------------------
+
+
+def test_bounds_are_bit_identical_to_the_per_entity_recomputation():
+    # 400 seeds x three query shapes; every entity without and then with the
+    # origin on one scalar.  The digest was taken from the version that
+    # recomputed degree, box and the full partial for every entity.
+    lines = []
+    for seed in range(400):
+        rnd = random.Random(seed)
+        for kwargs in ({}, {"max_power": 1}, {"allow_negative_floor": False}):
+            scalar = random_scalar(rnd, **kwargs)
+            for origin in (False, True):
+                for entity in sorted(scalar.inputs):
+                    res = lipschitz_bound(scalar, entity, include_origin=origin)
+                    lines.append(f"{res.bound.hex()} {res.strategy} {res.exact}")
+    assert len(lines) == 5516
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "47024d2fd2b8012fea90e91761a1249f1763b268c5512a6dce4a35023a7a8747"
+
+
+def _mixed_floors():
+    # (A+B)^2 + C^3 - 20*C*D: A and D have negative floors, B and C positive
+    # ones, so hulling B's or C's own box through 0 moves the bound
+    a, b = mk("A", 1.0, -6.0, 1.0), mk("B", 1.0, 1.0, 4.0)
+    c, d = mk("C", 1.0, 0.5, 2.0), mk("D", 1.0, -1.0, 2.0)
+    return (a + b) ** 2 + c ** 3 - (c * d).scale(20.0)
+
+
+def _positive_floors():
+    a, b = mk("A", 1.0, 1.0, 3.0), mk("B", 1.0, 2.0, 5.0)
+    return a * b + b ** 2
+
+
+@pytest.mark.parametrize("build", [_mixed_floors, _positive_floors])
+def test_shared_facts_never_carry_one_entitys_hull(build):
+    entities = sorted(build().inputs)
+    fresh = {
+        (e, origin): lipschitz_bound(build(), e, include_origin=origin)
+        for e in entities
+        for origin in (False, True)
+    }
+    shared = build()
+    for order in (entities, entities[::-1]):
+        for i, e in enumerate(order):
+            for origin in (i % 2 == 0, i % 2 == 1):
+                assert lipschitz_bound(shared, e, include_origin=origin) == fresh[e, origin]
+    assert shared.box() == build().box()
+    routes = {res.strategy for res in fresh.values()}
+    moved = [e for e in entities if fresh[e, False] != fresh[e, True]]
+    if build is _mixed_floors:
+        assert routes == {VERTEX_EXACT, INTERVAL_SOUND} and moved == [B, VarId("C")]
+    else:
+        assert routes == {MONOTONE_CEILING}
+
+
+def test_spends_of_a_mean_of_squares_do_linear_work(monkeypatch):
+    n = 2000
+    roots = [mk(f"m{i:04d}", float(i % 123), 0.0, 122.0) for i in range(n)]
+    query = sum_scalars(r ** 2 for r in roots).scale(1.0 / n)
+    calls = {"box": 0, "degree": 0, "partial_terms": 0}
+
+    def counted(name, fn, weight=lambda self: 1):
+        def wrapper(self, *args, **kwargs):
+            calls[name] += weight(self)
+            return fn(self, *args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(PrivateScalar, "box", counted("box", PrivateScalar.box))
+    monkeypatch.setattr(Polynomial, "degree", counted("degree", Polynomial.degree))
+    monkeypatch.setattr(
+        Polynomial,
+        "partial",
+        counted("partial_terms", Polynomial.partial, lambda self: self.term_count),
+    )
+    spends = spend_for_publish(query, 10.0)
+    assert len(spends) == n and all(sp.lipschitz == 2 * 122 / n for sp in spends)
+    assert calls["box"] <= 1 and calls["degree"] <= 1
+    assert calls["partial_terms"] <= 2 * n
