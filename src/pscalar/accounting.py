@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import datetime
 import math
+import operator
 import sys
 import threading
 from dataclasses import dataclass
@@ -91,7 +92,8 @@ def spend_for_publish(scalar: PrivateScalar, sigma: float) -> list[RdpSpend]:
         raise ValueError(f"sigma must be positive with 2*sigma^2 a normal float, got {sigma!r}")
     spends = []
     denom = 2.0 * sigma * sigma
-    for v in sorted(scalar.entities()):
+    # VarId's own order (its dataclass compares this tuple), without a Python-level __lt__
+    for v in sorted(scalar.inputs, key=operator.attrgetter("entity", "attribute")):
         lb = lipschitz_bound(scalar, v, include_origin=True)
         x = scalar.inputs[v].clipped
         rho = (lb.bound * lb.bound) * (x * x) / denom
@@ -221,7 +223,7 @@ class PrivacyLedger:
             if self.journal_path is not None and self._journal is None:
                 raise LedgerError("the ledger's journal is closed")
             lines = []
-            for s in sorted(spends, key=lambda s: s.entity):
+            for s in sorted(spends, key=operator.attrgetter("entity.entity", "entity.attribute")):
                 entity = s.entity.entity
                 self._cumulative[entity] = self._cumulative.get(entity, 0.0) + s.rho
                 lines.append(f"{publish_id}\t{entity}\t{s.rho:.17g}\t{ts}\n")

@@ -173,6 +173,27 @@ class Interval:
         return Interval(min(lo_k, hi_k), max(lo_k, hi_k))
 
 
+def _merge_terms(out: dict[Monomial, float], p: "Polynomial", degree: int | None) -> int | None:
+    """Add p's terms into canonical ``out`` of degree ``degree``; return the sum's degree.
+
+    A sum of exactly 0.0 is deleted, so a later term on its monomial goes last,
+    as in a sum built from scratch.  The degree is None (unknown) once a term
+    cancelled or when ``degree`` is; p's own is computed if need be.
+    """
+    for m, c in p._terms.items():
+        total = out.get(m, 0.0) + c
+        if total == 0.0:
+            del out[m]
+            degree = None
+        elif math.isfinite(total):
+            out[m] = total
+        else:
+            raise NonFiniteError(f"coefficient of term {m} overflows a float")
+    if degree is None:
+        return None
+    return max(degree, p.degree() if p._degree is None else p._degree)
+
+
 class Polynomial:
     """Canonical sparse polynomial: a map from monomials to nonzero coefficients.
 
@@ -182,7 +203,7 @@ class Polynomial:
     treated as immutable; every operation returns a new polynomial.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_degree")
 
     def __init__(self, terms: Mapping[Monomial, float] | None = None):
         clean: dict[Monomial, float] = {}
@@ -194,8 +215,17 @@ class Polynomial:
                 if c != 0.0:
                     clean[m] = c
         self._terms = clean
+        self._degree: int | None = None  # computed on first use
 
     # -- construction -------------------------------------------------------
+
+    @classmethod
+    def _canonical(cls, terms: dict[Monomial, float], degree: int | None = None) -> "Polynomial":
+        """Polynomial over terms that are canonical by construction: kept, not checked."""
+        p = object.__new__(cls)
+        p._terms = terms
+        p._degree = degree
+        return p
 
     @classmethod
     def zero(cls) -> "Polynomial":
@@ -204,11 +234,11 @@ class Polynomial:
     @classmethod
     def constant(cls, c) -> "Polynomial":
         c = _require_finite(c, "constant")
-        return cls({_UNIT: c})
+        return cls._canonical({_UNIT: c} if c != 0.0 else {}, 0)
 
     @classmethod
     def variable(cls, v: VarId) -> "Polynomial":
-        return cls({Monomial(((v, 1),)): 1.0})
+        return cls._canonical({Monomial(((v, 1),)): 1.0}, 1)
 
     # -- inspection ----------------------------------------------------------
 
@@ -226,7 +256,9 @@ class Polynomial:
         return not self._terms
 
     def degree(self) -> int:
-        return max((m.degree for m in self._terms), default=0)
+        if self._degree is None:
+            self._degree = max((m.degree for m in self._terms), default=0)
+        return self._degree
 
     def degree_in(self, v: VarId) -> int:
         return max((m.degree_in(v) for m in self._terms), default=0)
@@ -257,9 +289,7 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         out = dict(self._terms)
-        for m, c in other._terms.items():
-            out[m] = out.get(m, 0.0) + c
-        return Polynomial(out)
+        return Polynomial._canonical(out, _merge_terms(out, other, self._degree))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
@@ -267,7 +297,7 @@ class Polynomial:
         return self + (-other)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial({m: -c for m, c in self._terms.items()})
+        return Polynomial._canonical({m: -c for m, c in self._terms.items()}, self._degree)
 
     def scale(self, c) -> "Polynomial":
         c = _require_finite(c, "scale factor")

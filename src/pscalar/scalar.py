@@ -12,6 +12,7 @@ from .poly import (
     Monomial,
     Polynomial,
     VarId,
+    _merge_terms,
     _require_finite,
 )
 
@@ -101,6 +102,15 @@ class PrivateScalar:
         self.inputs = dict(inputs)
         self._bound_facts = None
 
+    @classmethod
+    def _derived(cls, poly: Polynomial, inputs: dict[VarId, EntityInput]) -> "PrivateScalar":
+        """An op's result: its poly's variables lie in its operands' fresh ``inputs``."""
+        s = object.__new__(cls)
+        s.poly = poly
+        s.inputs = inputs
+        s._bound_facts = None
+        return s
+
     # -- construction ---------------------------------------------------------
 
     @classmethod
@@ -150,10 +160,10 @@ class PrivateScalar:
         if isinstance(other, PrivateScalar):
             inputs = dict(self.inputs)
             _merge_inputs(inputs, other.inputs)
-            return PrivateScalar(combine(self.poly, other.poly), inputs)
+            return PrivateScalar._derived(combine(self.poly, other.poly), inputs)
         if isinstance(other, numbers.Real):
             const = Polynomial.constant(float(other))
-            return PrivateScalar(combine(self.poly, const), dict(self.inputs))
+            return PrivateScalar._derived(combine(self.poly, const), dict(self.inputs))
         return NotImplemented
 
     def __add__(self, other):
@@ -176,20 +186,20 @@ class PrivateScalar:
     __rmul__ = __mul__
 
     def __neg__(self) -> "PrivateScalar":
-        return PrivateScalar(-self.poly, dict(self.inputs))
+        return PrivateScalar._derived(-self.poly, dict(self.inputs))
 
     def scale(self, c: float) -> "PrivateScalar":
-        return PrivateScalar(self.poly.scale(c), dict(self.inputs))
+        return PrivateScalar._derived(self.poly.scale(c), dict(self.inputs))
 
     def shift(self, c: float) -> "PrivateScalar":
-        return PrivateScalar(self.poly + Polynomial.constant(c), dict(self.inputs))
+        return PrivateScalar._derived(self.poly + Polynomial.constant(c), dict(self.inputs))
 
     def __pow__(self, k) -> "PrivateScalar":
         if not isinstance(k, int) or isinstance(k, bool) or k < 0:
             raise UnsupportedOperationError(
                 f"only non-negative integer powers stay polynomial, got {k!r}"
             )
-        return PrivateScalar(self.poly.power(k), dict(self.inputs))
+        return PrivateScalar._derived(self.poly.power(k), dict(self.inputs))
 
     def __truediv__(self, other):
         raise UnsupportedOperationError(
@@ -206,16 +216,13 @@ class PrivateScalar:
 def sum_scalars(scalars: Iterable[PrivateScalar]) -> PrivateScalar:
     """Sum a collection of scalars in one pass (empty sum is the public 0).
 
-    Equals the ``+`` left fold bit for bit, term and input order included.
+    Equals the ``+`` left fold bit for bit, term and input order included,
+    because both merge terms with ``_merge_terms``.
     """
     terms: dict[Monomial, float] = {}
     inputs: dict[VarId, EntityInput] = {}
+    degree = 0
     for s in scalars:
-        for m, c in s.poly.items():
-            total = terms.get(m, 0.0) + c
-            if total == 0.0:
-                del terms[m]  # as the fold does, so a later term on m goes last
-            else:
-                terms[m] = total
         _merge_inputs(inputs, s.inputs)
-    return PrivateScalar(Polynomial(terms), inputs)
+        degree = _merge_terms(terms, s.poly, degree)
+    return PrivateScalar._derived(Polynomial._canonical(terms, degree), inputs)

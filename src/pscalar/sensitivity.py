@@ -61,7 +61,7 @@ def lipschitz_bound(
     if degree <= 1:
         coeff = scalar.poly.coefficient(Monomial.of({entity: 1}))
         return LipschitzBound(entity, abs(coeff), FIRST_DEGREE, True)
-    d = Polynomial(dict(own_terms.get(entity, ()))).partial(entity)
+    d = Polynomial._canonical(dict(own_terms.get(entity, ()))).partial(entity)
     dbox = {v: box[v] for v in d.variables()}
     if include_origin and entity in dbox:
         dbox[entity] = dbox[entity].hull_with(0.0)

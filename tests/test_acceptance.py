@@ -538,6 +538,8 @@ def test_c10_end_to_end_demo_and_stress(tmp_path):
                 proc.kill()  # fail without leaving the node running
                 proc.wait()
                 raise
+            finally:
+                proc.stdout.close()
 
         # stress: a 12-way product whose slope needs 2^11 corner evaluations
         # per entity (negative floors rule the cheaper routes out)

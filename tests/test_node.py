@@ -462,6 +462,29 @@ def test_huge_integer_numbers_are_a_bad_request(tmp_path):
     node.close()
 
 
+def test_overflowing_sum_is_a_bad_request(tmp_path):
+    # 1e308*A + 1e308*A: the merged coefficient is not a float, so the binop is
+    # refused as the caller's error and leaves no handle behind
+    node = make_node(tmp_path)
+    serve_csv(tmp_path, node)
+    node.add_user("u1", key="k1")
+    s = authed_session(node)
+    a = call(node, s, "get_roots", dataset="people")["roots"][0]["handle"]
+    big = [call(node, s, "unop", kind="scale", handle=a, c=1e308)["handle"] for _ in range(2)]
+    before = len(node.store._objects)
+    for kind in ("add", "sub"):
+        b = big[1] if kind == "add" else call(node, s, "unop", kind="neg", handle=big[1])["handle"]
+        before = len(node.store._objects)
+        resp = call(node, s, "binop", kind=kind, a=big[0], b=b)
+        assert not resp["ok"] and resp["error"]["code"] == "bad_request", resp
+        assert "overflows a float" in resp["error"]["detail"]
+        assert len(node.store._objects) == before
+    resp = call(node, s, "fold", kind="sum", handles=big)
+    assert resp["error"]["code"] == "bad_request", resp
+    assert len(node.store._objects) == before
+    node.close()
+
+
 def test_overflowing_slope_bound_is_a_bad_request(tmp_path):
     # x^(10^6) over [0, 122] overflows on the monotone route (Polynomial.evaluate),
     # over [-5, 122] on the interval route (Interval.power); the slope of

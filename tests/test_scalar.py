@@ -8,8 +8,11 @@ import operator
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pscalar.poly import VarId
+from pscalar.node import Node
+from pscalar.poly import Monomial, NonFiniteError, Polynomial, VarId
 from pscalar.scalar import (
     EntityInput,
     MetadataConflictError,
@@ -164,6 +167,154 @@ def test_sum_scalars_equals_the_add_fold_bit_for_bit():
     a1, a2 = mk("A", 5.0, 0.0, 10.0), mk("A", 5.0, 0.0, 99.0)
     with pytest.raises(MetadataConflictError):
         sum_scalars([a1, mk("B", 1.0, 0.0, 1.0), a2])
+
+
+# -- op results are canonical by construction ---------------------------------------------
+
+
+def reference_add(p: Polynomial, q: Polynomial) -> Polynomial:
+    """Sum through the validating constructor: merge all terms, then drop zeros."""
+    out = dict(p.items())
+    for m, c in q.items():
+        out[m] = out.get(m, 0.0) + c
+    return Polynomial(out)
+
+
+def merged_inputs(scalars) -> list:
+    out = {}
+    for s in scalars:
+        for v, rec in s.inputs.items():
+            out.setdefault(v, rec)
+    return list(out.items())
+
+
+def assert_canonical(s: PrivateScalar) -> None:
+    """s equals its rebuild through the validating constructors, term order included.
+
+    A degree the op cached must be the true one; an unknown one stays unknown,
+    so later ops see operands both with and without a cached degree.
+    """
+    terms = list(s.poly.items())
+    rebuilt = PrivateScalar(Polynomial(dict(terms)), s.inputs)
+    assert terms == list(rebuilt.poly.items())
+    assert s.poly._degree in (None, rebuilt.poly.degree())
+    assert list(s.inputs) == list(rebuilt.inputs)
+
+
+SLOT = st.integers(0, 63)
+COEFF = st.sampled_from(FOLD_COEFFS + (0.0, 1e308))
+OP = st.one_of(
+    st.tuples(st.sampled_from(("add", "sub")), SLOT, SLOT),
+    st.tuples(st.sampled_from(("neg", "degree")), SLOT),
+    st.tuples(st.sampled_from(("scale", "shift")), SLOT, COEFF),
+    st.tuples(st.just("pow"), SLOT, st.integers(0, 3)),
+    st.tuples(st.just("fold"), st.lists(SLOT, min_size=1, max_size=5)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(OP, max_size=16))
+def test_op_results_equal_their_validated_rebuild(program):
+    pool = [
+        mk("A", 1.5, -2.0, 3.0),
+        mk("B", 2.0, 0.0, 4.0),
+        PrivateScalar.make_private("A", 7.0, 0.0, 9.0, attribute="b"),
+        PrivateScalar.from_public(2.0),
+        mk("B", 2.0, 0.0, 4.0).scale(1e308),  # two of these overflow a sum
+    ]
+    for op, *args in program:
+        slots = args[0] if op == "fold" else args[:2] if op in ("add", "sub") else args[:1]
+        operands = [pool[i % len(pool)] for i in slots]
+        a, b = operands[0], operands[-1]
+        if op == "degree":
+            assert a.degree() == Polynomial(dict(a.poly.items())).degree()
+            continue
+        if op == "pow" and a.term_count > 6:
+            continue
+        polys = [s.poly for s in operands]
+        if op == "sub":
+            polys[1] = -b.poly
+        try:
+            if op in ("add", "sub"):
+                result = a + b if op == "add" else a - b
+            elif op == "fold":
+                result = sum_scalars(operands)
+            elif op == "neg":
+                result = -a
+            elif op == "scale":
+                result = a.scale(args[1])
+            elif op == "shift":
+                result = a.shift(args[1])
+            else:
+                result = a ** args[1]
+        except NonFiniteError:
+            # an overflowing sum is refused exactly where the validated sum refuses it
+            if op in ("add", "sub", "fold"):
+                with pytest.raises(NonFiniteError):
+                    functools.reduce(reference_add, polys)
+            continue
+        if op in ("add", "sub", "fold"):
+            expected = functools.reduce(reference_add, polys)
+            assert list(result.poly.items()) == list(expected.items())
+        assert list(result.inputs.items()) == merged_inputs(operands)
+        assert_canonical(result)
+        pool.append(result)
+
+
+def test_cancelled_top_term_lowers_the_cached_degree():
+    x, y = mk("X", 1.0, 0.0, 2.0), mk("Y", 1.0, 0.0, 2.0)
+    left, right = x ** 2 + y, -(x ** 2)
+    assert (left.degree(), right.degree()) == (2, 2)  # both operands' degrees cached
+    total = left + right
+    assert total.degree() == 1
+    assert list(total.poly.items()) == [(Monomial.of({VarId("Y"): 1}), 1.0)]
+    assert_canonical(total)
+    zero = x + (-x)
+    assert zero.poly.is_zero() and zero.degree() == 0
+    assert list(zero.inputs) == [VarId("X")]
+    assert_canonical(zero)
+    assert sum_scalars([x, -x]).degree() == 0
+    clash = mk("X", 1.0, 0.0, 3.0)
+    for combine in (operator.add, operator.sub, operator.mul, lambda a, b: sum_scalars([a, b])):
+        with pytest.raises(MetadataConflictError):
+            combine(x ** 2 + y, clash)
+
+
+def test_public_constructor_keeps_its_checks():
+    a = mk("A", 1.0, 0.0, 2.0)
+    with pytest.raises(ValueError):
+        PrivateScalar(a.poly, {})
+    with pytest.raises(TypeError):
+        PrivateScalar(a.poly, {VarId("A"): (1.0, 0.0, 2.0)})
+    with pytest.raises(NonFiniteError):
+        Polynomial({Monomial.unit(): math.inf})
+
+
+def test_left_fold_with_meta_after_each_step_does_linear_work(monkeypatch):
+    # a running total that is described after every step, as the node does for
+    # each binop: neither the sum nor its degree may rescan the whole total
+    n = 2000
+    calls = {"monomial.degree": 0, "variables": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(Monomial, "degree", property(counted("monomial.degree", Monomial.degree.fget)))
+    monkeypatch.setattr(Polynomial, "variables", counted("variables", Polynomial.variables))
+    roots = [mk(f"e{i:05d}", float(i % 7), 0.0, 10.0) for i in range(n)]
+    total = roots[0]
+    for r in roots[1:]:
+        total = total + r
+        Node._meta(total)
+    for r in roots:  # squares reach the sum with no degree computed yet
+        total = total + r ** 2
+        Node._meta(total)
+    assert Node._meta(total) == {"degree": 2, "terms": 2 * n, "entities": n}
+    assert calls["monomial.degree"] <= 4 * n, calls
+    assert calls["variables"] <= n, calls  # the roots' own checks only
 
 
 def test_division_rejected_with_guidance():
