@@ -83,6 +83,11 @@ def spend_for_publish(scalar: PrivateScalar, sigma: float) -> list[RdpSpend]:
     Uses removal semantics: the Lipschitz bound for each entity is taken over
     its box widened through 0, the replacement value.  Sigma must keep
     ``2 sigma^2`` a positive normal float, so that every cost is finite.
+
+    The slopes depend only on public data, so the first call keeps them with
+    the immutable scalar and later calls, at any sigma, only derive each rho.
+    Threads that fill them at once store equal values; a bound that raises
+    keeps none.
     """
     if not (
         isinstance(sigma, (int, float))
@@ -90,14 +95,17 @@ def spend_for_publish(scalar: PrivateScalar, sigma: float) -> list[RdpSpend]:
         and sys.float_info.min <= 2.0 * sigma * sigma < math.inf
     ):
         raise ValueError(f"sigma must be positive with 2*sigma^2 a normal float, got {sigma!r}")
+    if scalar._slopes is None:
+        # VarId's own order (its dataclass compares this tuple), without a Python-level __lt__
+        entities = sorted(scalar.inputs, key=operator.attrgetter("entity", "attribute"))
+        scalar._slopes = tuple(
+            (v, lipschitz_bound(scalar, v, include_origin=True).bound) for v in entities
+        )
     spends = []
-    denom = 2.0 * sigma * sigma
-    # VarId's own order (its dataclass compares this tuple), without a Python-level __lt__
-    for v in sorted(scalar.inputs, key=operator.attrgetter("entity", "attribute")):
-        lb = lipschitz_bound(scalar, v, include_origin=True)
-        x = scalar.inputs[v].clipped
-        rho = (lb.bound * lb.bound) * (x * x) / denom
-        spends.append(RdpSpend(v, rho, lb.bound))
+    denom, inputs = 2.0 * sigma * sigma, scalar.inputs
+    for v, slope in scalar._slopes:
+        x = inputs[v].clipped
+        spends.append(RdpSpend(v, (slope * slope) * (x * x) / denom, slope))
     return spends
 
 
@@ -110,9 +118,14 @@ def rdp_to_dp(rho: float, delta: float) -> float:
     """
     if not (0.0 < delta < 1.0):
         raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
+    return _rdp_to_dp(rho, math.log(1.0 / delta))
+
+
+def _rdp_to_dp(rho: float, log_inv_delta: float) -> float:
+    """``rdp_to_dp`` with ``ln(1/delta)`` already taken, for one delta and many rho."""
     if not (math.isfinite(rho) and rho >= 0.0):
         raise ValueError(f"rho must be finite and non-negative, got {rho!r}")
-    return rho + 2.0 * math.sqrt(rho * math.log(1.0 / delta))
+    return rho + 2.0 * math.sqrt(rho * log_inv_delta)
 
 
 def _now_iso() -> str:
@@ -261,8 +274,9 @@ def filter_check(ledger: PrivacyLedger, spends: list[RdpSpend], policy: BudgetPo
     """
     violations = []
     proposed = _aggregate_by_entity(spends)
+    log_inv = math.log(1.0 / policy.delta)
     for entity in sorted(proposed):
-        projected = rdp_to_dp(ledger.total(entity) + proposed[entity], policy.delta)
+        projected = _rdp_to_dp(ledger.total(entity) + proposed[entity], log_inv)
         if projected > policy.eps_cap:
             violations.append((entity, projected))
     return FilterDecision(ok=not violations, violations=tuple(violations))
@@ -270,7 +284,8 @@ def filter_check(ledger: PrivacyLedger, spends: list[RdpSpend], policy: BudgetPo
 
 def remaining_budget(ledger: PrivacyLedger, entity: str, policy: BudgetPolicy) -> float:
     """Converted epsilon still available to one entity (floored at zero)."""
-    return max(0.0, policy.eps_cap - rdp_to_dp(ledger.total(entity), policy.delta))
+    log_inv = math.log(1.0 / policy.delta)
+    return max(0.0, policy.eps_cap - _rdp_to_dp(ledger.total(entity), log_inv))
 
 
 def calibrate_sigma(

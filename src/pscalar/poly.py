@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
@@ -245,9 +246,6 @@ class Polynomial:
     def items(self) -> Iterator[tuple[Monomial, float]]:
         return iter(self._terms.items())
 
-    def coefficient(self, m: Monomial) -> float:
-        return self._terms.get(m, 0.0)
-
     @property
     def term_count(self) -> int:
         return len(self._terms)
@@ -270,16 +268,17 @@ class Polynomial:
         return frozenset(out)
 
     def sorted_terms(self) -> list[tuple[Monomial, float]]:
-        """Terms in graded-lexicographic order, highest first."""
-        var_order = sorted(self.variables())
-        index = {v: i for i, v in enumerate(var_order)}
+        """Terms in graded-lexicographic order, highest first.
+
+        A monomial's ``(variable rank, -exponent)`` pairs order it as its dense
+        exponent vector would: of equal degree, no key is a prefix of another.
+        """
+        ranked = sorted(self.variables(), key=operator.attrgetter("entity", "attribute"))
+        index = {v: i for i, v in enumerate(ranked)}
 
         def key(item):
             m, _ = item
-            vec = [0] * len(var_order)
-            for v, e in m.powers:
-                vec[index[v]] = e
-            return (-m.degree, [-e for e in vec])
+            return (-m.degree, [(index[v], -e) for v, e in m.powers])
 
         return sorted(self._terms.items(), key=key)
 

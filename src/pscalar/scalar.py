@@ -85,10 +85,13 @@ class PrivateScalar:
     (zero) contribution remains visible downstream.
 
     Instances are immutable by convention: operations return new scalars.
-    ``sensitivity`` relies on that to keep shared slope facts in ``_bound_facts``.
+    Two caches rely on that, and both hold public data only: ``sensitivity``
+    keeps the facts every entity's slope bound shares in ``_bound_facts``, and
+    ``accounting.spend_for_publish`` keeps the sorted ``(VarId, removal slope)``
+    pairs in ``_slopes``, so each query is bounded once whatever its sigma.
     """
 
-    __slots__ = ("poly", "inputs", "_bound_facts")
+    __slots__ = ("poly", "inputs", "_bound_facts", "_slopes")
 
     def __init__(self, poly: Polynomial, inputs: Mapping[VarId, EntityInput]):
         missing = [v for v in poly.variables() if v not in inputs]
@@ -100,7 +103,7 @@ class PrivateScalar:
                 raise TypeError("inputs must map VarId to EntityInput")
         self.poly = poly
         self.inputs = dict(inputs)
-        self._bound_facts = None
+        self._bound_facts = self._slopes = None
 
     @classmethod
     def _derived(cls, poly: Polynomial, inputs: dict[VarId, EntityInput]) -> "PrivateScalar":
@@ -108,7 +111,7 @@ class PrivateScalar:
         s = object.__new__(cls)
         s.poly = poly
         s.inputs = inputs
-        s._bound_facts = None
+        s._bound_facts = s._slopes = None
         return s
 
     # -- construction ---------------------------------------------------------

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poly import Interval, Monomial, NonFiniteError, Polynomial, VarId
+from .poly import Interval, NonFiniteError, Polynomial, VarId
 from .scalar import PrivateScalar, UnknownEntityError
 
 FIRST_DEGREE = "first_degree"
@@ -57,10 +57,10 @@ def lipschitz_bound(
     """
     if entity not in scalar.inputs:
         raise UnknownEntityError(f"entity {entity.label()} does not contribute to this scalar")
-    degree, own_terms, box, monotone = _shared_facts(scalar)
-    if degree <= 1:
-        coeff = scalar.poly.coefficient(Monomial.of({entity: 1}))
-        return LipschitzBound(entity, abs(coeff), FIRST_DEGREE, True)
+    facts = _shared_facts(scalar)
+    if facts[0] <= 1:
+        return LipschitzBound(entity, abs(facts[1].get(entity, 0.0)), FIRST_DEGREE, True)
+    _, own_terms, box, monotone = facts
     d = Polynomial._canonical(dict(own_terms.get(entity, ()))).partial(entity)
     dbox = {v: box[v] for v in d.variables()}
     if include_origin and entity in dbox:
@@ -69,21 +69,29 @@ def lipschitz_bound(
         ceilings = {v: iv.hi for v, iv in dbox.items()}
         return LipschitzBound(entity, d.evaluate(ceilings), MONOTONE_CEILING, True)
     dvars = sorted(dbox)
-    if len(dvars) <= VERTEX_CAP and all(d.degree_in(v) == 1 for v in dvars):
+    if len(dvars) <= VERTEX_CAP and all(e == 1 for m, _ in d.items() for _, e in m.powers):
         return LipschitzBound(entity, _corner_max_abs(d, dvars, dbox), VERTEX_EXACT, True)
     return LipschitzBound(entity, d.range_over(dbox).abs_max(), INTERVAL_SOUND, False)
 
 
 def _shared_facts(scalar: PrivateScalar) -> tuple:
-    """(degree, variable -> its terms in term order, unhulled box, monotone flag), once."""
+    """(degree, variable -> its terms in term order, unhulled box, monotone flag), once.
+
+    Degree <= 1 keeps (degree, variable -> coefficient, None, None) instead.
+    """
     if scalar._bound_facts is None:
-        poly, own_terms = scalar.poly, {}
+        poly, degree = scalar.poly, scalar.poly.degree()
+        if degree <= 1:
+            coeffs = {m.powers[0][0]: c for m, c in poly.items() if m.powers}
+            scalar._bound_facts = (degree, coeffs, None, None)
+            return scalar._bound_facts
+        own_terms = {}
         for term in poly.items():
             for v, _ in term[0].powers:
                 own_terms.setdefault(v, []).append(term)
         box = scalar.box()
         monotone = all(c >= 0 for _, c in poly.items()) and all(box[v].lo >= 0 for v in own_terms)
-        scalar._bound_facts = (poly.degree(), own_terms, box, monotone)
+        scalar._bound_facts = (degree, own_terms, box, monotone)
     return scalar._bound_facts
 
 

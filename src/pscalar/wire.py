@@ -14,6 +14,7 @@ on the wire.
 from __future__ import annotations
 
 import json
+import operator
 from typing import Any, Sequence
 
 from .accounting import RdpSpend
@@ -71,7 +72,7 @@ def receipt_wire(receipt: PublishReceipt) -> dict:
 def scalar_summary(scalar: PrivateScalar) -> dict:
     """Shareable description of a scalar: structure and public bounds only."""
     entities = []
-    for v in sorted(scalar.inputs):
+    for v in sorted(scalar.inputs, key=operator.attrgetter("entity", "attribute")):
         rec = scalar.inputs[v]
         entities.append(
             {

@@ -17,6 +17,7 @@ from pscalar.accounting import (
     LedgerError,
     PrivacyLedger,
     RdpSpend,
+    _rdp_to_dp,
     calibrate_sigma,
     filter_check,
     rdp_to_dp,
@@ -113,6 +114,34 @@ def test_conversion_monotonicity():
     assert all(a <= b + 1e-12 for a, b in zip(eps, eps[1:]))
     # stricter delta costs more
     assert rdp_to_dp(0.3, 1e-9) > rdp_to_dp(0.3, 1e-5)
+
+
+_RHO_GRID = (0.0, 5e-324, 1e-12, 1e-3, 0.1234567, 0.5, 1.0, 7.25, 42.0, 1e6, 1e200)
+_DELTA_GRID = (1e-300, 1e-12, 1e-6, 1e-5, 0.01, 0.5, 0.999999)
+
+
+def test_conversion_with_its_log_taken_once_is_bit_identical():
+    for delta in _DELTA_GRID:
+        log_inv = math.log(1.0 / delta)
+        for rho in _RHO_GRID:
+            # the formula rdp_to_dp has always computed, log(1/delta) inside
+            want = (rho + 2.0 * math.sqrt(rho * math.log(1.0 / delta))).hex()
+            assert _rdp_to_dp(rho, log_inv).hex() == rdp_to_dp(rho, delta).hex() == want
+
+
+def test_filter_and_remaining_budget_convert_as_rdp_to_dp():
+    for delta in _DELTA_GRID:
+        for rho in _RHO_GRID:
+            led = PrivacyLedger()
+            led.record([_spend("A", rho)], led.next_publish_id())
+            want = rdp_to_dp(rho + 0.25, delta)
+            tight = BudgetPolicy(eps_cap=math.nextafter(want, 0.0), delta=delta)
+            ((entity, projected),) = filter_check(led, [_spend("A", 0.25)], tight).violations
+            assert entity == "A" and projected.hex() == want.hex()
+            assert filter_check(led, [_spend("A", 0.25)], BudgetPolicy(want, delta)).ok
+            cap = 2.0 * rdp_to_dp(rho, delta) + 1.0
+            left = remaining_budget(led, "A", BudgetPolicy(cap, delta))
+            assert left.hex() == (cap - rdp_to_dp(rho, delta)).hex()
 
 
 def test_conversion_validation():

@@ -165,6 +165,17 @@ def test_publish_and_rejection(live):
         assert all(eps > 6.0 for eps in err.value.projected_eps)
 
 
+def test_rehearsal_and_receipt_of_one_handle_carry_identical_spends(live):
+    with connect(live) as s:
+        a, b, c = s.roots("people")
+        mean, quadratic = s.sum_of([a, b, c]).scale(1.0 / 3.0), (a + b) ** 2 + b * c
+        for query, sigma in ((mean, 400.0), (quadratic, 1e5)):
+            sim = s.simulate(query, sigma)
+            res = s.publish(query, sigma)
+            assert sim.passed and len(sim.spends) == 3
+            assert list(sim.spends) == list(res.spends)
+
+
 def test_simulate_and_budget(live):
     with connect(live) as s:
         a, *_ = s.roots("people")

@@ -7,14 +7,14 @@ import math
 import pytest
 
 from oracles import golden_eps, rho_cap
-from pscalar.accounting import BudgetPolicy, PrivacyLedger, spend_for_publish
+from pscalar.accounting import BudgetPolicy, PrivacyLedger, calibrate_sigma, spend_for_publish
 from pscalar.mechanism import (
     BudgetRejected,
     GaussianNoiseSource,
     publish,
     simulate_publish,
 )
-from pscalar.poly import VarId
+from pscalar.poly import NonFiniteError, VarId
 from pscalar.scalar import PrivateScalar
 
 
@@ -175,3 +175,72 @@ def test_receipt_spends_keep_owner_side_details():
     assert scalar.clipped_assignment() == {VarId("A"): 122.0}
     assert spend.lipschitz == 1.0
     assert spend.rho == 122.0**2 / (2 * 200.0**2)
+
+
+# -- slopes kept with the scalar ---------------------------------------------------------
+
+
+def _square_of_sum():
+    # (a + b)^2 with negative floors: each slope 2(a + b) peaks at 2*(5 + 5) = 20,
+    # found by the vertex_exact corner scan
+    return (mk("a", 3.0, -2.0, 5.0) + mk("b", 1.5, -2.0, 5.0)) ** 2
+
+
+@pytest.fixture
+def bound_calls(monkeypatch):
+    from pscalar import accounting
+
+    calls = []
+    real = accounting.lipschitz_bound
+
+    def counted(scalar, entity, **kwargs):
+        calls.append(entity)
+        return real(scalar, entity, **kwargs)
+
+    monkeypatch.setattr(accounting, "lipschitz_bound", counted)
+    return calls
+
+
+def test_release_after_its_rehearsal_does_no_bounding(bound_calls):
+    f = _square_of_sum()
+    real = PrivacyLedger()
+    decision, rehearsed = simulate_publish(f, 500.0, real.fork_simulated(), POLICY)
+    assert decision.ok and len(bound_calls) == 2
+    receipt = publish(f, 500.0, real, POLICY, GaussianNoiseSource(seed=3))
+    simulate_publish(f, 900.0, real.fork_simulated(), POLICY)
+    calibrate_sigma(f, real, POLICY)
+    assert len(bound_calls) == 2
+    assert list(receipt.spends) == rehearsed
+
+
+@pytest.mark.parametrize("sigma", [37.0, 410.5])
+def test_kept_slopes_give_a_fresh_scalars_spends_bit_for_bit(sigma):
+    warm = _square_of_sum()
+    spend_for_publish(warm, 1.0)
+
+    def bits(spends):
+        return [(s.entity, s.rho.hex(), s.lipschitz.hex()) for s in spends]
+
+    assert bits(spend_for_publish(warm, sigma)) == bits(spend_for_publish(_square_of_sum(), sigma))
+
+
+def test_refused_release_then_rehearsal_at_a_larger_sigma_charges_the_oracle_rho(bound_calls):
+    f = _square_of_sum()
+    real = PrivacyLedger()
+    with pytest.raises(BudgetRejected):
+        publish(f, 1.0, real, POLICY, GaussianNoiseSource(seed=4))
+    sim = real.fork_simulated()
+    decision, _ = simulate_publish(f, 300.0, sim, POLICY)
+    assert decision.ok and len(bound_calls) == 2
+    # closed-form slope 20 at the clipped inputs 3.0 and 1.5
+    assert sim.total("a") == 20.0**2 * 3.0**2 / (2 * 300.0**2)
+    assert sim.total("b") == 20.0**2 * 1.5**2 / (2 * 300.0**2)
+    assert real.total("a") == real.total("b") == 0.0
+
+
+def test_a_bound_that_overflows_keeps_no_slopes(bound_calls):
+    f = mk("A", 1.0, -1e200, 1e200) ** 3  # the slope 3*A^2 overflows on the box
+    for _ in range(2):
+        with pytest.raises(NonFiniteError):
+            spend_for_publish(f, 1.0)
+    assert len(bound_calls) == 2

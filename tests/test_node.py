@@ -27,13 +27,14 @@ from pscalar.node import (
     users_add,
 )
 from pscalar.poly import VarId
-from pscalar.scalar import PrivateScalar
+from pscalar.scalar import PrivateScalar, sum_scalars
 from pscalar.wire import (
     WireLeakError,
     assert_no_private_leakage,
     decode,
     encode,
     receipt_wire,
+    scalar_summary,
     spend_wire,
 )
 from pscalar.accounting import RdpSpend
@@ -261,6 +262,20 @@ def test_describe_exposes_only_public_data(tmp_path):
     ]
     assert "value" not in json.dumps(desc)
     node.close()
+
+
+def test_describe_of_a_wide_mean_is_linear():
+    # one describe of a 10^4-entity mean; the dense sort key of the graded
+    # order took 0.95 s at 4000 entities and grew with the square of N
+    n = 10_000
+    roots = [PrivateScalar.make_private(f"u{i:05d}", 1.0, 0.0, 2.0) for i in range(n)]
+    mean = sum_scalars(roots).scale(1.0 / n)
+    t0 = time.perf_counter()
+    desc = scalar_summary(mean)
+    elapsed = time.perf_counter() - t0
+    assert desc["terms"] == n and len(desc["entities"]) == n
+    assert desc["poly"].startswith("0.0001*x[u00000] + 0.0001*x[u00001] + ")
+    assert elapsed < 2.0, f"describe of a {n}-entity mean took {elapsed:.2f} s"
 
 
 # -- fold: n-ary sum and product in one request -------------------------------------------

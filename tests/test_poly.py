@@ -80,6 +80,39 @@ def test_sorted_terms_graded_lex():
     assert order == ["x[A]^2", "x[A]", "x[B]", "1"]
 
 
+def _dense_graded_lex_key(variables):
+    # the reference order: a dense exponent vector over every variable, sorted
+    index = {v: i for i, v in enumerate(sorted(variables))}
+
+    def key(item):
+        m, _ = item
+        vec = [0] * len(index)
+        for v, e in m.powers:
+            vec[index[v]] = e
+        return (-m.degree, [-e for e in vec])
+
+    return key
+
+
+_VARS = [VarId(e, a) for e in ("A", "B", "a", "b1", "zz") for a in ("", "kg")]
+
+
+@given(
+    st.dictionaries(
+        st.dictionaries(st.sampled_from(_VARS), st.integers(1, 3), max_size=4).map(
+            lambda powers: tuple(sorted(powers.items()))
+        ),
+        st.floats(-5.0, 5.0).filter(lambda c: c != 0.0),
+        max_size=24,
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_sorted_terms_match_the_dense_exponent_order(terms):
+    p = Polynomial({Monomial(powers): c for powers, c in terms.items()})
+    want = sorted(p.items(), key=_dense_graded_lex_key(p.variables()))
+    assert p.sorted_terms() == want
+
+
 # -- validation -----------------------------------------------------------------------
 
 

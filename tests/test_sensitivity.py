@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import hashlib
 import random
+import sys
 
 import pytest
 
 from oracles import corner_max_abs, diff_terms, eval_terms, grid_max_abs
 from conftest import random_scalar, to_box, to_terms
 from pscalar.accounting import spend_for_publish
-from pscalar.poly import Polynomial, VarId
+from pscalar.poly import Monomial, Polynomial, VarId
 from pscalar.scalar import PrivateScalar, UnknownEntityError, sum_scalars
 from pscalar.sensitivity import (
     FIRST_DEGREE,
@@ -365,3 +366,46 @@ def test_spends_of_a_mean_of_squares_do_linear_work(monkeypatch):
     assert len(spends) == n and all(sp.lipschitz == 2 * 122 / n for sp in spends)
     assert calls["box"] <= 1 and calls["degree"] <= 1
     assert calls["partial_terms"] <= 2 * n
+
+
+def test_first_degree_bounds_read_one_coefficient_map(monkeypatch):
+    n = 500
+    roots = [mk(f"u{i:03d}", float(i), -3.0, 600.0) for i in range(n)]
+    query = sum_scalars(r.scale(1.0 + i % 7) for i, r in enumerate(roots)).shift(2.0)
+    calls = {"box": 0, "of": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(PrivateScalar, "box", counted("box", PrivateScalar.box))
+    monkeypatch.setattr(Monomial, "of", classmethod(counted("of", Monomial.of.__func__)))
+    bounds = [lipschitz_bound(query, v, include_origin=True) for v in sorted(query.inputs)]
+    assert [b.bound for b in bounds] == [1.0 + i % 7 for i in range(n)]
+    assert {b.strategy for b in bounds} == {FIRST_DEGREE}
+    assert calls == {"box": 0, "of": 0}
+
+
+def test_multilinear_guard_takes_one_pass_over_the_slope(monkeypatch):
+    # prod(x_j + 1) over 8 entities with negative floors: every slope is
+    # multilinear, and telling so needs no per-variable degree scan, so only
+    # Polynomial.partial asks a monomial for its degree in one variable
+    roots = [mk(f"p{j}", 0.5, -1.0 - j, 2.0) for j in range(8)]
+    query = roots[0] + 1.0
+    for r in roots[1:]:
+        query = query * (r + 1.0)
+    callers = []
+    real = Monomial.degree_in
+
+    def traced(self, v):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real(self, v)
+
+    monkeypatch.setattr(Monomial, "degree_in", traced)
+    for origin in (False, True):
+        for v in sorted(query.inputs):
+            assert lipschitz_bound(query, v, include_origin=origin).strategy == VERTEX_EXACT
+    assert set(callers) == {"partial"}
