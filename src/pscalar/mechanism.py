@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 import math
+import random
 import threading
 from dataclasses import dataclass
-
-import numpy as np
 
 from .accounting import (
     BudgetPolicy,
@@ -20,7 +19,10 @@ from .accounting import (
 from .scalar import PrivateScalar
 
 #: How noise is produced, fixed for reproducibility guarantees.
-NOISE_ALGORITHM = "numpy PCG64 bit generator, Generator.normal (ziggurat)"
+NOISE_ALGORITHM = (
+    "random.gauss (Box-Muller) over random.Random (MT19937) when seeded, "
+    "over random.SystemRandom (OS entropy) when not"
+)
 
 
 class BudgetRejected(Exception):
@@ -37,24 +39,33 @@ class BudgetRejected(Exception):
 
 
 class GaussianNoiseSource:
-    """Seeded Gaussian sampler with a bit-exact stream per seed.
+    """Gaussian sampler from the standard library, with a bit-exact stream per seed.
 
-    Backed by numpy's PCG64 bit generator through ``Generator.normal``; the
-    same 64-bit seed always reproduces the same draw sequence on a given
-    installation.  Thread-safe: draws are serialized.
+    A seed (a non-negative integer) picks a Mersenne Twister ``random.Random``,
+    so the same seed always reproduces the same draw sequence; without one,
+    ``random.SystemRandom`` draws from OS entropy.  ``random.gauss`` keeps a
+    spare draw between calls and is not thread-safe, so draws are serialized.
     """
 
     def __init__(self, seed: int | None = None):
+        if seed is None:
+            gen = random.SystemRandom()
+        elif isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0:
+            # Random(-s) replays Random(s), so negative seeds are refused to
+            # keep one stream per seed.
+            gen = random.Random(seed)
+        else:
+            raise ValueError(f"noise seed must be a non-negative integer, got {seed!r}")
         self.seed = seed
         self.algorithm = NOISE_ALGORITHM
-        self._gen = np.random.default_rng(seed)
+        self._gen = gen
         self._lock = threading.Lock()
 
     def sample(self, sigma: float) -> float:
         if not (isinstance(sigma, (int, float)) and math.isfinite(sigma) and sigma > 0):
             raise ValueError(f"sigma must be a positive finite number, got {sigma!r}")
         with self._lock:
-            return float(self._gen.normal(0.0, sigma))
+            return self._gen.gauss(0.0, sigma)
 
 
 @dataclass(frozen=True)

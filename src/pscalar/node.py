@@ -252,11 +252,11 @@ class Node:
     def __init__(self, config: NodeConfig):
         self.config = config
         self.policy = BudgetPolicy(config.eps_cap, config.delta)
+        self.noise = GaussianNoiseSource(config.seed)
         self.journal_dir = Path(config.journal_dir) if config.journal_dir else None
         if self.journal_dir is not None:
             self.journal_dir.mkdir(parents=True, exist_ok=True)
         self.store = ObjectStore()
-        self.noise = GaussianNoiseSource(config.seed)
         # dataset -> its public root records; raw values live only in the roots
         self._roots: dict[str, list[dict]] = {}
         self._entities: set[str] = set()

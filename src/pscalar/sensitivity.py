@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .poly import Interval, NonFiniteError, Polynomial, VarId
 from .scalar import PrivateScalar, UnknownEntityError
 
@@ -45,8 +43,8 @@ def lipschitz_bound(
     - monotone_ceiling: all coefficients and floors are non-negative, so the
       slope has non-negative coefficients and peaks at the all-ceilings corner.
     - vertex_exact: the slope is multilinear in at most VERTEX_CAP variables,
-      so |slope| peaks at one of the box's 2^k corners, all evaluated at once
-      by ``_corner_max_abs``.
+      so |slope| peaks at one of the box's 2^k corners, scanned by
+      ``_corner_max_abs``.
     - interval_sound: interval evaluation of the slope; sound but not exact.
 
     ``include_origin`` widens the entity's own coordinate range to include
@@ -98,22 +96,47 @@ def _shared_facts(scalar: PrivateScalar) -> tuple:
 def _corner_max_abs(d: Polynomial, dvars: list[VarId], box: dict[VarId, Interval]) -> float:
     """Largest |d| over the 2^k corners of the box, for d multilinear in dvars.
 
-    d goes into a (2,)*k tensor with one cell per monomial (axis i at 1 when
-    dvars[i] occurs).  Folding one axis at a time, a[0] + x*a[1] at x = lo and
-    x = hi, leaves d's value at every corner: O(terms*k + k*2^k) numpy work.
+    Bit i of a monomial's mask stands for dvars[i].  The first p of dvars are
+    the shortest prefix after which every monomial has at most one variable
+    left.  Folding the prefix one variable at a time (a0 + lo*a1 and
+    a0 + hi*a1 over each pair of masks that differ only in its bit; a missing
+    mask holds zeros) leaves, for the constant and for each remaining
+    variable, its coefficient at every prefix corner, where d is affine in
+    the rest: C + c_j*x_j + ... .  Float + and * by a fixed number round
+    monotonically, so the left-to-right sum of the larger (smaller) of lo*c_j
+    and hi*c_j is the largest (smallest) corner value, bit for bit what the
+    fold of every variable of a (2,)*k tensor gives.  The fold is dense,
+    p*2^p float operations for the constant and for each remaining variable
+    however few terms d has, so a sparse slope with a long prefix is slow.
     """
-    axis = {v: i for i, v in enumerate(dvars)}
-    a = np.zeros((2,) * len(dvars))
+    # keyed by VarId's fields: a tuple of strs hashes in C, a VarId in Python
+    bit = {(v.entity, v.attribute): 1 << i for i, v in enumerate(dvars)}
+    coeffs, head = {}, 0  # head: the bits of variables not last in their monomial
     for m, c in d.items():
-        cell = [0] * len(dvars)
+        mask = last = 0
         for v, _ in m.powers:
-            cell[axis[v]] = 1
-        a[tuple(cell)] = c
-    with np.errstate(over="ignore", invalid="ignore"):
-        for v in dvars:
-            lo, hi = box[v].lo, box[v].hi
-            a = np.stack((a[0] + lo * a[1], a[0] + hi * a[1]), axis=-1)
-        best = float(np.abs(a).max())
-    if not math.isfinite(best):
+            last = bit[v.entity, v.attribute]
+            mask |= last
+        coeffs[mask] = c
+        head |= mask ^ last
+    p = head.bit_length()
+    n = 1 << p
+    # a monomial's mask above the prefix (0, or the bit of its one variable
+    # left) -> that variable's coefficient at every prefix corner
+    cells = {key: [0.0] * n for key in {mask >> p for mask in coeffs}}
+    for mask, c in coeffs.items():
+        cells[mask >> p][mask & (n - 1)] = c
+    for v in dvars[:p]:
+        lo, hi = box[v].lo, box[v].hi
+        for key, a in cells.items():
+            xs, ys = a[0::2], a[1::2]
+            cells[key] = [x + lo * y for x, y in zip(xs, ys)] + [x + hi * y for x, y in zip(xs, ys)]
+    top = bottom = cells.pop(0, [0.0] * n)
+    for key in sorted(cells):
+        iv, cs = box[dvars[p + key.bit_length() - 1]], cells[key]
+        top = [t + (iv.hi * c if c > 0 else iv.lo * c) for t, c in zip(top, cs)]
+        bottom = [t + (iv.lo * c if c > 0 else iv.hi * c) for t, c in zip(bottom, cs)]
+    if not (all(map(math.isfinite, top)) and all(map(math.isfinite, bottom))):
         raise NonFiniteError("slope value at a corner overflows a float")
-    return best
+    # top >= bottom at every corner, so these two bound |d| at all of them
+    return max(max(top), -min(bottom))

@@ -7,7 +7,8 @@ types appear only as plain data (term lists, floats) handed in by tests.
 Contents:
 
 * symbolic differentiation + dense-grid suprema for worst-case-slope checks
-  (``diff_terms``, ``grid_max_abs``, ``eval_terms``)
+  (``diff_terms``, ``grid_max_abs``, ``eval_terms``), and corner suprema by
+  enumeration (``corner_max_abs``) or by a numpy fold (``corner_fold_max_abs``)
 * golden-section minimisation of the order-to-(eps, delta) conversion curve
   (``golden_eps``, ``rho_cap``)
 * log-domain quadrature of the Renyi divergence between two equal-variance
@@ -95,6 +96,28 @@ def corner_max_abs(terms, box: dict) -> float:
     for corner in iter_product(*[box[n] for n in names]):
         best = max(best, abs(eval_terms(terms, dict(zip(names, corner)))))
     return best
+
+
+def corner_fold_max_abs(terms, names, box: dict) -> float:
+    """Largest |term list| over the box corners by a (2,)*k numpy fold.
+
+    For multilinear lists over ``names``, which fixes the fold order: axis i
+    is names[i], and a term sits at 1 on the axes of its variables.  Folding
+    one axis at a time, a[0] + x*a[1] at x = lo and x = hi, leaves the value
+    at every corner.  An overflow is no error here: the result is inf or nan.
+    """
+    axis = {n: i for i, n in enumerate(names)}
+    a = np.zeros((2,) * len(names))
+    for coeff, powers in terms:
+        cell = [0] * len(names)
+        for n in powers:
+            cell[axis[n]] = 1
+        a[tuple(cell)] = coeff
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in names:
+            lo, hi = box[n]
+            a = np.stack((a[0] + lo * a[1], a[0] + hi * a[1]), axis=-1)
+        return float(np.abs(a).max())
 
 
 # -- conversion reference -------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 
@@ -40,6 +41,28 @@ def test_noise_source_validation():
     for bad in (0.0, -2.0, math.inf, math.nan):
         with pytest.raises(ValueError):
             src.sample(bad)
+
+
+def test_seeded_noise_is_the_standard_library_gauss():
+    src, ref = GaussianNoiseSource(seed=0xC8), random.Random(0xC8)
+    assert [src.sample(s) for s in (1.0, 2.5, 7.0, 0.25)] == [
+        ref.gauss(0.0, s) for s in (1.0, 2.5, 7.0, 0.25)
+    ]
+
+
+@pytest.mark.parametrize("seed", [-1, -0xC8, 1.5, 2.0, "7", b"7", True])
+def test_noise_source_refuses_seeds_outside_the_one_to_one_range(seed):
+    # random.Random(-s) replays Random(s), and floats, strings and bools
+    # would alias integer seeds or other streams
+    with pytest.raises(ValueError, match="non-negative integer"):
+        GaussianNoiseSource(seed=seed)
+
+
+def test_unseeded_noise_draws_from_os_entropy():
+    src = GaussianNoiseSource()
+    assert src.seed is None and isinstance(src._gen, random.SystemRandom)
+    draws = [src.sample(1.0) for _ in range(4)]
+    assert all(math.isfinite(x) for x in draws) and len(set(draws)) == 4
 
 
 # -- real publish ----------------------------------------------------------------------

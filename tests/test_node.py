@@ -815,6 +815,21 @@ def test_serve_refuses_a_duplicate_api_key(tmp_path):
     assert proc.stderr == "error: user 'bob' reuses the api key of another user\n"
 
 
+def test_serve_refuses_a_negative_seed(tmp_path):
+    # random.Random(-s) would replay the stream of seed s
+    path = good_csv(tmp_path, "entity,value,floor,ceiling\nA,1,0,2\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pscalar", "node", "serve", "--data", str(path), "--port", "0",
+         "--eps", "1", "--delta", "1e-6", "--seed", "-1", "--user", "alice:k",
+         "--journal", str(tmp_path / "state")],
+        capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""  # refused before listening
+    assert proc.stderr == "error: noise seed must be a non-negative integer, got -1\n"
+    assert not (tmp_path / "state").exists()
+
+
 def test_duplicate_api_key_is_refused(tmp_path):
     node = make_node(tmp_path)
     serve_csv(tmp_path, node)

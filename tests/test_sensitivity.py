@@ -3,15 +3,19 @@
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 import sys
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import corner_max_abs, diff_terms, eval_terms, grid_max_abs
+from oracles import corner_fold_max_abs, corner_max_abs, diff_terms, eval_terms, grid_max_abs
 from conftest import random_scalar, to_box, to_terms
 from pscalar.accounting import spend_for_publish
-from pscalar.poly import Monomial, Polynomial, VarId
+from pscalar.poly import Interval, Monomial, NonFiniteError, Polynomial, VarId
 from pscalar.scalar import PrivateScalar, UnknownEntityError, sum_scalars
 from pscalar.sensitivity import (
     FIRST_DEGREE,
@@ -19,6 +23,7 @@ from pscalar.sensitivity import (
     MONOTONE_CEILING,
     VERTEX_CAP,
     VERTEX_EXACT,
+    _corner_max_abs,
     lipschitz_bound,
 )
 
@@ -409,3 +414,68 @@ def test_multilinear_guard_takes_one_pass_over_the_slope(monkeypatch):
         for v in sorted(query.inputs):
             assert lipschitz_bound(query, v, include_origin=origin).strategy == VERTEX_EXACT
     assert set(callers) == {"partial"}
+
+
+# -- the corner scan against the numpy fold it replaced --------------------------------
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_COEFFS = st.one_of(
+    st.floats(-10.0, 10.0), st.integers(-4, 4).map(float), st.floats(-1e300, 1e300), _FINITE
+).filter(lambda c: c != 0.0)
+_ENDS = st.one_of(st.floats(-10.0, 10.0), st.integers(-3, 3).map(float), st.floats(-1e10, 1e10), _FINITE)
+
+
+@st.composite
+def _multilinear_slopes(draw):
+    """(slope, its live variables in order, box): 1-12 live variables, some overflowing."""
+    k = draw(st.integers(1, 12))
+    names = [VarId(f"x{i:02d}") for i in range(k)]
+    shape = draw(st.sampled_from(["any", "affine", "every subset", "sum times sum"]))
+    if shape == "affine":  # as in the slope of (sum x)^2: nothing to fold
+        masks = [0] + [1 << i for i in range(k)]
+    elif shape == "every subset":  # as in prod(x_j + 1): the fold is dense
+        masks = list(range(2 ** min(k, 5)))
+    elif shape == "sum times sum" and k > 1:  # a long prefix, few terms
+        cut = draw(st.integers(1, k - 1))
+        masks = [1 << a | 1 << b for a in range(cut) for b in range(cut, k)]
+        masks += draw(st.lists(st.integers(0, 2**k - 1), max_size=3))
+    else:
+        masks = draw(st.lists(st.integers(0, 2**k - 1), min_size=1, max_size=40, unique=True))
+    terms = {
+        Monomial(tuple((v, 1) for i, v in enumerate(names) if mask >> i & 1)): draw(_COEFFS)
+        for mask in masks
+    }
+    d = Polynomial(terms)
+    box = {v: Interval(*sorted((draw(_ENDS), draw(_ENDS)))) for v in names}
+    dvars = sorted(d.variables())
+    return d, dvars, {v: box[v] for v in dvars}
+
+
+@settings(max_examples=400, deadline=None)
+@given(_multilinear_slopes())
+def test_corner_scan_is_bit_identical_to_the_numpy_fold(slope):
+    d, dvars, box = slope
+    want = corner_fold_max_abs(
+        [(c, {v.label(): 1 for v, _ in m.powers}) for m, c in d.items()],
+        [v.label() for v in dvars],
+        {v.label(): (iv.lo, iv.hi) for v, iv in box.items()},
+    )
+    if not math.isfinite(want):
+        with pytest.raises(NonFiniteError):
+            _corner_max_abs(d, dvars, box)
+    else:
+        assert _corner_max_abs(d, dvars, box).hex() == want.hex()
+
+
+def test_square_of_sum_at_the_cap_bounds_every_entity_in_linear_time():
+    # the slope 2*sum x is affine, so no corner needs folding: the numpy fold
+    # of 2^20 corners per entity took about 2 s for the 20 entities
+    bounds = _floors_ceilings(VERTEX_CAP)
+    total = sum_scalars(mk(f"s{j:02d}", 1.0, lo, hi) for j, (lo, hi) in enumerate(bounds))
+    f = total * total
+    t0 = time.perf_counter()
+    results = [lipschitz_bound(f, v, include_origin=True) for v in sorted(f.inputs)]
+    elapsed = time.perf_counter() - t0
+    assert {r.strategy for r in results} == {VERTEX_EXACT}
+    assert elapsed < 0.2, f"{elapsed:.3f}s for {VERTEX_CAP} entities"
