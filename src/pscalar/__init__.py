@@ -22,17 +22,6 @@ from .accounting import (
     remaining_budget,
     spend_for_publish,
 )
-from .client import (
-    AuthFailed,
-    ClientError,
-    PublishRejectedError,
-    PublishResult,
-    RemoteScalar,
-    RequestFailed,
-    Session,
-    SimulateResult,
-    TransportError,
-)
 from .mechanism import (
     BudgetRejected,
     GaussianNoiseSource,
@@ -67,7 +56,6 @@ from .scalar import (
     clip,
     sum_scalars,
 )
-from .script import ScriptError, ScriptReport, StepResult, run_script
 from .sensitivity import (
     FIRST_DEGREE,
     INTERVAL_SOUND,
@@ -138,3 +126,12 @@ __all__ = [
     "sum_scalars",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    # The analyst-side names of __all__, imported on first use: a node never loads them.
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import client, script
+
+    return getattr(client if hasattr(client, name) else script, name)

@@ -12,13 +12,12 @@ from __future__ import annotations
 import contextlib
 import datetime
 import math
-import operator
 import sys
 import threading
-from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 
-from .poly import VarId
+from .poly import VarId, _SlotsRecord, _tuple_record
 from .scalar import PrivateScalar
 from .sensitivity import lipschitz_bound
 
@@ -39,42 +38,40 @@ class CalibrationError(ValueError):
         self.blocked = blocked
 
 
-@dataclass(frozen=True)
-class RdpSpend:
+class RdpSpend(_SlotsRecord):
     """One entity's cost for one release and the slope bound behind it.
 
     No input value is kept; ``rho`` is computed from the clipped input.
     """
 
-    entity: VarId
-    rho: float
-    lipschitz: float
+    __slots__ = ("entity", "rho", "lipschitz")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.rho) and self.rho >= 0.0):
-            raise ValueError(f"rho must be finite and non-negative, got {self.rho!r}")
+    def __init__(self, entity: VarId, rho: float, lipschitz: float):
+        if not (math.isfinite(rho) and rho >= 0.0):
+            raise ValueError(f"rho must be finite and non-negative, got {rho!r}")
+        self.entity, self.rho, self.lipschitz = entity, rho, lipschitz
 
 
-@dataclass(frozen=True)
-class BudgetPolicy:
+class BudgetPolicy(_tuple_record("BudgetPolicy", "eps_cap delta")):
     """Owner-set cap: per-entity converted epsilon at a fixed delta."""
 
-    eps_cap: float
-    delta: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (math.isfinite(self.eps_cap) and self.eps_cap > 0):
-            raise ValueError(f"eps_cap must be positive, got {self.eps_cap!r}")
-        if not (0.0 < self.delta < 1.0):
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta!r}")
+    def __new__(cls, eps_cap: float, delta: float):
+        if not (math.isfinite(eps_cap) and eps_cap > 0):
+            raise ValueError(f"eps_cap must be positive, got {eps_cap!r}")
+        if not (0.0 < delta < 1.0):
+            raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
+        return tuple.__new__(cls, (eps_cap, delta))
 
 
-@dataclass(frozen=True)
-class FilterDecision:
-    """Outcome of a pre-release budget check; never mutates any state."""
+class FilterDecision(_tuple_record("FilterDecision", "ok violations", defaults=((),))):
+    """Outcome of a pre-release budget check; never mutates any state.
 
-    ok: bool
-    violations: tuple[tuple[str, float], ...] = ()
+    ``violations`` holds (entity, projected epsilon) pairs.
+    """
+
+    __slots__ = ()
 
 
 def spend_for_publish(scalar: PrivateScalar, sigma: float) -> list[RdpSpend]:
@@ -96,10 +93,9 @@ def spend_for_publish(scalar: PrivateScalar, sigma: float) -> list[RdpSpend]:
     ):
         raise ValueError(f"sigma must be positive with 2*sigma^2 a normal float, got {sigma!r}")
     if scalar._slopes is None:
-        # VarId's own order (its dataclass compares this tuple), without a Python-level __lt__
-        entities = sorted(scalar.inputs, key=operator.attrgetter("entity", "attribute"))
         scalar._slopes = tuple(
-            (v, lipschitz_bound(scalar, v, include_origin=True).bound) for v in entities
+            (v, lipschitz_bound(scalar, v, include_origin=True).bound)
+            for v in sorted(scalar.inputs)
         )
     spends = []
     denom, inputs = 2.0 * sigma * sigma, scalar.inputs
@@ -236,7 +232,7 @@ class PrivacyLedger:
             if self.journal_path is not None and self._journal is None:
                 raise LedgerError("the ledger's journal is closed")
             lines = []
-            for s in sorted(spends, key=operator.attrgetter("entity.entity", "entity.attribute")):
+            for s in sorted(spends, key=attrgetter("entity")):
                 entity = s.entity.entity
                 self._cumulative[entity] = self._cumulative.get(entity, 0.0) + s.rho
                 lines.append(f"{publish_id}\t{entity}\t{s.rho:.17g}\t{ts}\n")

@@ -5,12 +5,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import shlex
 import signal
 import sys
 
-from . import demos
-from .client import ClientError, Session
 from .node import (
     Node,
     NodeConfig,
@@ -19,7 +16,6 @@ from .node import (
     read_audit,
     users_add,
 )
-from .script import ScriptError, _Runner, run_script
 
 KEY_ENV_VAR = "PSCALAR_API_KEY"
 
@@ -182,6 +178,8 @@ def node_main(argv: list[str] | None = None) -> int:
 
 
 # -- client -------------------------------------------------------------------
+# Each client command imports the analyst-side modules it runs on, so that
+# starting a node never loads them.
 
 
 def _client_parser() -> argparse.ArgumentParser:
@@ -209,6 +207,8 @@ def _resolve_key(args) -> str | None:
 
 
 def _cmd_run(args) -> int:
+    from .script import run_script
+
     key = _resolve_key(args)
     if not key:
         print(f"no api key: pass --key or set ${KEY_ENV_VAR}", file=sys.stderr)
@@ -231,66 +231,10 @@ def _cmd_run(args) -> int:
     return 0 if report.ok else 1
 
 
-# let NAME = KIND ARGS...: the op step fields that each kind's words fill, in order
-_LET_FIELDS = {
-    **dict.fromkeys(("add", "sub", "mul"), ("a", "b")),
-    **dict.fromkeys(("sum", "product", "neg"), ("arg",)),
-    **dict.fromkeys(("scale", "shift"), ("arg", "c")),
-    "pow": ("arg", "k"),
-    "pick": ("arg", "index"),
-}
-# other step words: the step kind and the fields their words fill, in order
-_STEP_WORDS = {
-    "simulate": ("simulate", ("target", "sigma")),
-    "publish": ("publish", ("target", "sigma")),
-    "budget": ("budget", ("entity",)),
-    "fork": ("fork_sim", ()),
-}
-
-
-def _repl_step(cmd: str, rest: list[str]) -> dict:
-    """The script step that a REPL line stands for."""
-    if cmd == "load":  # load DATASET as NAME
-        if len(rest) != 3 or rest[1] != "as":
-            raise ScriptError("usage: load DATASET as NAME")
-        return {"step": "load", "dataset": rest[0], "as": rest[2]}
-    if cmd == "let":  # let NAME = KIND ARGS...
-        if len(rest) < 3 or rest[1] != "=":
-            raise ScriptError("usage: let NAME = KIND ARGS...")
-        kind = rest[2]
-        return {"step": "op", "kind": kind, "as": rest[0],
-                **dict(zip(_LET_FIELDS.get(kind, ()), rest[3:]))}
-    if cmd in _STEP_WORDS:
-        kind, fields = _STEP_WORDS[cmd]
-        return {"step": kind, **dict(zip(fields, rest))}
-    raise ScriptError(
-        f"unknown command {cmd!r} "
-        "(try: datasets load let describe simulate publish budget fork quit)"
-    )
-
-
-class _Repl:
-    """Line syntax over the script runner: most lines are one script step."""
-
-    def __init__(self, runner: _Runner):
-        self.runner = runner
-
-    def handle(self, line: str) -> str | None:
-        words = shlex.split(line)
-        if not words:
-            return None
-        cmd, rest = words[0], words[1:]
-        if cmd in ("quit", "exit"):
-            raise EOFError
-        session = self.runner.sessions["main"]
-        if cmd == "datasets":
-            return "\n".join(f"{d['name']} ({d['rows']} rows)" for d in session.datasets)
-        if cmd == "describe":
-            return json.dumps(session.describe(self.runner.scalar_binding(rest[0])), indent=2)
-        return self.runner.run_step(_repl_step(cmd, rest))
-
-
 def _cmd_repl(args) -> int:
+    from .client import ClientError, Session
+    from .script import _Repl, _Runner
+
     key = _resolve_key(args)
     if not key:
         print(f"no api key: pass --key or set ${KEY_ENV_VAR}", file=sys.stderr)
@@ -315,12 +259,17 @@ def _cmd_repl(args) -> int:
 
 
 def _cmd_demos(args) -> int:
+    from . import demos
+
     for name in demos.copy_all(args.out):
         print(name)
     return 0
 
 
 def client_main(argv: list[str] | None = None) -> int:
+    from .client import ClientError
+    from .script import ScriptError
+
     args = _client_parser().parse_args(argv)
     try:
         if args.command == "run":

@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 import random
 import threading
-from dataclasses import dataclass
 
 from .accounting import (
     BudgetPolicy,
@@ -16,6 +15,7 @@ from .accounting import (
     filter_check,
     spend_for_publish,
 )
+from .poly import _SlotsRecord
 from .scalar import PrivateScalar
 
 #: How noise is produced, fixed for reproducibility guarantees.
@@ -68,15 +68,14 @@ class GaussianNoiseSource:
             return self._gen.gauss(0.0, sigma)
 
 
-@dataclass(frozen=True)
-class PublishReceipt:
-    """What a successful release produced and what it cost each entity."""
+class PublishReceipt(_SlotsRecord):
+    """What a successful release produced and what it cost each entity (RdpSpends)."""
 
-    publish_id: str
-    value: float
-    sigma: float
-    spends: tuple[RdpSpend, ...]
-    timestamp: str
+    __slots__ = ("publish_id", "value", "sigma", "spends", "timestamp")
+
+    def __init__(self, publish_id: str, value: float, sigma: float, spends: tuple, timestamp: str):
+        self.publish_id, self.value, self.sigma = publish_id, value, sigma
+        self.spends, self.timestamp = spends, timestamp
 
 
 def _check_and_record(

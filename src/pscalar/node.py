@@ -13,11 +13,10 @@ import functools
 import itertools
 import json
 import operator
+import os
 import re
-import secrets
 import socketserver
 import threading
-from dataclasses import dataclass
 from pathlib import Path
 
 from .accounting import (
@@ -27,7 +26,7 @@ from .accounting import (
     remaining_budget,
 )
 from .mechanism import BudgetRejected, GaussianNoiseSource, publish, simulate_publish
-from .poly import PolynomialError, TermLimitError, VarId
+from .poly import PolynomialError, TermLimitError, VarId, _SlotsRecord, _tuple_record
 from .scalar import (
     EntityInput,
     MetadataConflictError,
@@ -45,9 +44,14 @@ from .wire import (
 )
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
+_BINOPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
 
 USERS_FILE = "users.json"
 AUDIT_FILE = "audit.jsonl"
+
+#: Most bytes one request line may hold, newline included; a 10^5-handle
+#: ``fold`` takes about 1.1 MB.
+MAX_REQUEST_BYTES = 16 * 2**20
 
 
 class IngestError(ValueError):
@@ -63,49 +67,50 @@ class NodeError(Exception):
         self.detail = detail
 
 
-@dataclass(frozen=True)
-class DatasetRow:
-    entity: str
-    value: float
-    floor: float
-    ceiling: float
+class DatasetRow(_SlotsRecord):
+    """One CSV row: an entity's raw value and its public bounds."""
+
+    __slots__ = ("entity", "value", "floor", "ceiling")
+
+    def __init__(self, entity: str, value: float, floor: float, ceiling: float):
+        self.entity, self.value, self.floor, self.ceiling = entity, value, floor, ceiling
 
 
-@dataclass(frozen=True)
-class Dataset:
-    name: str
-    rows: tuple[DatasetRow, ...]
+class Dataset(_tuple_record("Dataset", "name rows")):
+    """A loaded CSV column: its name and a tuple of DatasetRow."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class NodeConfig:
-    eps_cap: float
-    delta: float
-    shared_ledger: bool = False
-    journal_dir: str | Path | None = None
-    seed: int | None = None
+class NodeConfig(
+    _tuple_record(
+        "NodeConfig", "eps_cap delta shared_ledger journal_dir seed", defaults=(False, None, None)
+    )
+):
+    """Budget policy, ledger scope, state directory (str, Path or None) and noise seed."""
+
+    __slots__ = ()
 
 
-@dataclass
-class UserAccount:
-    name: str
-    key: str
-    ledger: PrivacyLedger
+class UserAccount(_tuple_record("UserAccount", "name key ledger")):
+    __slots__ = ()
 
 
-@dataclass
-class NodeSession:
+class StoredObject(_tuple_record("StoredObject", "scalar owner")):
+    """A handle's scalar; owner None marks a dataset root, readable by any authenticated user."""
+
+    __slots__ = ()
+
+
+class NodeSession(_SlotsRecord):
     """Per-connection state: who is talking and their simulated fork."""
 
-    peer: str = ""
-    user: UserAccount | None = None
-    sim: PrivacyLedger | None = None
+    __slots__ = ("peer", "user", "sim")
 
-
-@dataclass
-class StoredObject:
-    scalar: PrivateScalar
-    owner: str | None  # None: dataset root, readable by any authenticated user
+    def __init__(
+        self, peer: str = "", user: UserAccount | None = None, sim: PrivacyLedger | None = None
+    ):
+        self.peer, self.user, self.sim = peer, user, sim
 
 
 class ObjectStore:
@@ -221,7 +226,7 @@ def users_add(journal_dir: str | Path, name: str) -> str:
     users = load_users_file(journal_dir)
     if any(u.get("name") == name for u in users):
         raise ValueError(f"user {name!r} already exists")
-    key = secrets.token_hex(16)
+    key = os.urandom(16).hex()
     users.append({"name": name, "key": key})
     save_users_file(journal_dir, users)
     return key
@@ -244,6 +249,19 @@ def read_audit(journal_dir: str | Path) -> dict:
             for path in sorted(journal.glob("ledger-*.log"))
         },
     }
+
+
+def _error(rid: int | None, code: str, detail: str) -> dict:
+    return {"id": rid, "ok": False, "error": {"code": code, "detail": detail}}
+
+
+# wire error code of each failure a request may raise, most specific first
+_ERROR_CODES = (
+    (TermLimitError, "term_limit"),
+    (UnsupportedOperationError, "unsupported"),
+    (MetadataConflictError, "conflict"),
+    ((PolynomialError, ValueError), "bad_request"),
+)
 
 
 class Node:
@@ -353,24 +371,13 @@ class Node:
                 payload = handler(self, session, msg)
             resp = {"id": rid, "ok": True, **payload}
         except BudgetRejected as exc:
-            resp = {
-                "id": rid,
-                "ok": False,
-                "error": {"code": "budget_rejected", "detail": str(exc)},
-                "rejection": rejection_wire(exc.violations),
-            }
+            resp = _error(rid, "budget_rejected", str(exc))
+            resp["rejection"] = rejection_wire(exc.violations)
         except NodeError as exc:
-            resp = {"id": rid, "ok": False, "error": {"code": exc.code, "detail": exc.detail}}
-        except TermLimitError as exc:
-            resp = {"id": rid, "ok": False, "error": {"code": "term_limit", "detail": str(exc)}}
-        except UnsupportedOperationError as exc:
-            resp = {"id": rid, "ok": False, "error": {"code": "unsupported", "detail": str(exc)}}
-        except MetadataConflictError as exc:
-            resp = {"id": rid, "ok": False, "error": {"code": "conflict", "detail": str(exc)}}
-        except (PolynomialError, ValueError) as exc:
-            resp = {"id": rid, "ok": False, "error": {"code": "bad_request", "detail": str(exc)}}
-        except Exception as exc:  # pragma: no cover - defensive
-            resp = {"id": rid, "ok": False, "error": {"code": "internal", "detail": str(exc)}}
+            resp = _error(rid, exc.code, exc.detail)
+        except Exception as exc:  # the first matching code; "internal" is defensive
+            code = next((c for kind, c in _ERROR_CODES if isinstance(exc, kind)), "internal")
+            resp = _error(rid, code, str(exc))
         assert_no_private_leakage(resp)
         self._audit_event(
             {
@@ -458,14 +465,9 @@ class Node:
         kind = self._want_str(msg, "kind")
         a = self._scalar(session, self._want_str(msg, "a"))
         b = self._scalar(session, self._want_str(msg, "b"))
-        if kind == "add":
-            result = a + b
-        elif kind == "sub":
-            result = a - b
-        elif kind == "mul":
-            result = a * b
-        else:
+        if kind not in _BINOPS:
             raise NodeError("bad_request", f"unknown binop kind {kind!r}")
+        result = _BINOPS[kind](a, b)
         handle = self.store.add(result, owner=session.user.name)
         return {"handle": handle, "meta": self._meta(result)}
 
@@ -567,28 +569,30 @@ class _LineHandler(socketserver.StreamRequestHandler):
         session = NodeSession(peer=f"{host}:{port}")
         node = self.server.node
         while True:
-            line = self.rfile.readline()
+            line = self.rfile.readline(MAX_REQUEST_BYTES + 1)
             if not line:
                 break
             if not line.strip():
                 continue
-            try:
-                msg = json.loads(line)
-                if not isinstance(msg, dict):
-                    raise ValueError("not an object")
-            except ValueError:
-                resp = {
-                    "id": None,
-                    "ok": False,
-                    "error": {"code": "bad_request", "detail": "invalid JSON request"},
-                }
+            too_large = len(line) > MAX_REQUEST_BYTES
+            if too_large:
+                resp = _error(None, "bad_request", "request too large")
             else:
-                resp = node.handle_request(session, msg)
+                try:
+                    msg = json.loads(line)
+                    if not isinstance(msg, dict):
+                        raise ValueError("not an object")
+                except ValueError:
+                    resp = _error(None, "bad_request", "invalid JSON request")
+                else:
+                    resp = node.handle_request(session, msg)
             try:
                 self.wfile.write(encode(resp))
                 self.wfile.flush()
             except (BrokenPipeError, ConnectionResetError):
                 break
+            if too_large:
+                break  # the rest of that line is never read
 
 
 class NodeTCPServer(socketserver.ThreadingTCPServer):

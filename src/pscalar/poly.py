@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import math
-import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterator, Mapping
 
 #: Most terms a product may hold before it is refused.
@@ -37,31 +36,60 @@ def _require_finite(x, what: str) -> float:
     return x
 
 
-@dataclass(frozen=True, order=True)
-class VarId:
-    """One indeterminate: a single attribute contributed by a single entity.
+def _tuple_record(name: str, fields: str, defaults=None) -> type:
+    """A namedtuple base for a public record: it hashes, compares and orders in C.
 
-    Two VarIds name the same indeterminate iff both fields match.  Budget
-    accounting aggregates spends by ``entity`` alone, so one person
-    contributing several attributes is charged for all of them together.
+    Tuple ``+`` and ``*`` are taken away, so a record gains no arithmetic.
+    """
+    base = namedtuple(name, fields, defaults=defaults)
+    base.__add__ = base.__mul__ = base.__rmul__ = lambda self, other: NotImplemented
+    return base
+
+
+class _SlotsRecord:
+    """Equality and repr over ``__slots__``, for records that must never be tuples.
+
+    They hold a raw value or a value-dependent cost: ``json.dumps`` refuses
+    them, and the leak scan never meets their numbers bare.
     """
 
-    entity: str
-    attribute: str = ""
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return [getattr(self, f) for f in self.__slots__] == [
+            getattr(other, f) for f in self.__slots__
+        ]
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class VarId(_tuple_record("VarId", "entity attribute", defaults=("",))):
+    """One indeterminate: a single attribute contributed by a single entity.
+
+    Two VarIds name the same indeterminate iff both fields match, and they
+    order by ``(entity, attribute)``.  Budget accounting aggregates spends by
+    ``entity`` alone, so one person contributing several attributes is
+    charged for all of them together.
+    """
+
+    __slots__ = ()
 
     def label(self) -> str:
         return f"{self.entity}:{self.attribute}" if self.attribute else self.entity
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(_tuple_record("Monomial", "powers", defaults=((),))):
     """Product of variables with positive integer exponents; the empty product is 1.
 
     ``powers`` is kept sorted by variable with every exponent >= 1, so equal
     monomials are structurally identical and hash alike.
     """
 
-    powers: tuple[tuple[VarId, int], ...] = ()
+    __slots__ = ()
 
     @classmethod
     def unit(cls) -> "Monomial":
@@ -122,23 +150,17 @@ class Monomial:
 _UNIT = Monomial()
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(_tuple_record("Interval", "lo hi")):
     """Closed interval [lo, hi] with finite endpoints."""
 
-    lo: float
-    hi: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "lo", _require_finite(self.lo, "interval lower end"))
-        object.__setattr__(self, "hi", _require_finite(self.hi, "interval upper end"))
-        if self.lo > self.hi:
-            raise ValueError(f"interval requires lo <= hi, got [{self.lo}, {self.hi}]")
-
-    @classmethod
-    def point(cls, x: float) -> "Interval":
-        x = _require_finite(x, "interval point")
-        return cls(x, x)
+    def __new__(cls, lo: float, hi: float):
+        lo = _require_finite(lo, "interval lower end")
+        hi = _require_finite(hi, "interval upper end")
+        if lo > hi:
+            raise ValueError(f"interval requires lo <= hi, got [{lo}, {hi}]")
+        return tuple.__new__(cls, (lo, hi))
 
     def hull_with(self, x: float) -> "Interval":
         """Smallest interval covering both self and the point x."""
@@ -273,7 +295,7 @@ class Polynomial:
         A monomial's ``(variable rank, -exponent)`` pairs order it as its dense
         exponent vector would: of equal degree, no key is a prefix of another.
         """
-        ranked = sorted(self.variables(), key=operator.attrgetter("entity", "attribute"))
+        ranked = sorted(self.variables())
         index = {v: i for i, v in enumerate(ranked)}
 
         def key(item):
@@ -378,7 +400,7 @@ class Polynomial:
         """
         lo = hi = 0.0
         for m, c in self._terms.items():
-            r = Interval.point(c)
+            r = Interval(c, c)
             for v, e in m.powers:
                 if v not in box:
                     raise MissingVariableError(f"no box entry for variable {v.label()}")

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numbers
 import operator
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .poly import (
@@ -14,6 +13,7 @@ from .poly import (
     VarId,
     _merge_terms,
     _require_finite,
+    _SlotsRecord,
 )
 
 
@@ -34,22 +34,19 @@ def clip(value: float, floor: float, ceiling: float) -> float:
     return min(max(value, floor), ceiling)
 
 
-@dataclass(frozen=True)
-class EntityInput:
+class EntityInput(_SlotsRecord):
     """One entity's contribution: the raw private value and its public bounds.
 
     ``value`` is owner-side only: it must never be serialized toward a
     data-scientist session.  ``floor`` and ``ceiling`` are public metadata.
     """
 
-    value: float
-    floor: float
-    ceiling: float
+    __slots__ = ("value", "floor", "ceiling")
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", _require_finite(self.value, "value"))
-        object.__setattr__(self, "floor", _require_finite(self.floor, "floor"))
-        object.__setattr__(self, "ceiling", _require_finite(self.ceiling, "ceiling"))
+    def __init__(self, value: float, floor: float, ceiling: float):
+        self.value = _require_finite(value, "value")
+        self.floor = _require_finite(floor, "floor")
+        self.ceiling = _require_finite(ceiling, "ceiling")
         if self.floor > self.ceiling:
             raise ValueError(
                 f"floor must not exceed ceiling, got [{self.floor}, {self.ceiling}]"

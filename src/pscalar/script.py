@@ -19,7 +19,8 @@ Each line is one step object.  Step kinds:
   session (api key read from the environment).
 
 Any step may carry ``"session": NAME`` to run on a session opened by a
-``connect`` step; the default session is ``"main"``.
+``connect`` step; the default session is ``"main"``.  The REPL's lines
+(``_Repl``) are the same steps as words.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from __future__ import annotations
 import json
 import operator
 import os
+import shlex
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -262,6 +264,65 @@ class _Runner:
     def step_fork_sim(self, step: dict) -> str:
         self.session_for(step).fork_sim()
         return "simulated ledger forked"
+
+
+# let NAME = KIND ARGS...: the op step fields that each kind's words fill, in order
+_LET_FIELDS = {
+    **dict.fromkeys(("add", "sub", "mul"), ("a", "b")),
+    **dict.fromkeys(("sum", "product", "neg"), ("arg",)),
+    **dict.fromkeys(("scale", "shift"), ("arg", "c")),
+    "pow": ("arg", "k"),
+    "pick": ("arg", "index"),
+}
+# other step words: the step kind and the fields their words fill, in order
+_STEP_WORDS = {
+    "simulate": ("simulate", ("target", "sigma")),
+    "publish": ("publish", ("target", "sigma")),
+    "budget": ("budget", ("entity",)),
+    "fork": ("fork_sim", ()),
+}
+
+
+def _repl_step(cmd: str, rest: list[str]) -> dict:
+    """The script step that a REPL line stands for."""
+    if cmd == "load":  # load DATASET as NAME
+        if len(rest) != 3 or rest[1] != "as":
+            raise ScriptError("usage: load DATASET as NAME")
+        return {"step": "load", "dataset": rest[0], "as": rest[2]}
+    if cmd == "let":  # let NAME = KIND ARGS...
+        if len(rest) < 3 or rest[1] != "=":
+            raise ScriptError("usage: let NAME = KIND ARGS...")
+        kind = rest[2]
+        return {"step": "op", "kind": kind, "as": rest[0],
+                **dict(zip(_LET_FIELDS.get(kind, ()), rest[3:]))}
+    if cmd in _STEP_WORDS:
+        kind, fields = _STEP_WORDS[cmd]
+        return {"step": kind, **dict(zip(fields, rest))}
+    raise ScriptError(
+        f"unknown command {cmd!r} "
+        "(try: datasets load let describe simulate publish budget fork quit)"
+    )
+
+
+class _Repl:
+    """Line syntax over the script runner: most lines are one script step."""
+
+    def __init__(self, runner: _Runner):
+        self.runner = runner
+
+    def handle(self, line: str) -> str | None:
+        words = shlex.split(line)
+        if not words:
+            return None
+        cmd, rest = words[0], words[1:]
+        if cmd in ("quit", "exit"):
+            raise EOFError
+        session = self.runner.sessions["main"]
+        if cmd == "datasets":
+            return "\n".join(f"{d['name']} ({d['rows']} rows)" for d in session.datasets)
+        if cmd == "describe":
+            return json.dumps(session.describe(self.runner.scalar_binding(rest[0])), indent=2)
+        return self.runner.run_step(_repl_step(cmd, rest))
 
 
 def run_script(

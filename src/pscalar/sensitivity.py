@@ -8,9 +8,8 @@ bound costs no privacy budget.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .poly import Interval, NonFiniteError, Polynomial, VarId
+from .poly import Interval, NonFiniteError, Polynomial, VarId, _tuple_record
 from .scalar import PrivateScalar, UnknownEntityError
 
 FIRST_DEGREE = "first_degree"
@@ -22,14 +21,10 @@ INTERVAL_SOUND = "interval_sound"
 VERTEX_CAP = 20
 
 
-@dataclass(frozen=True)
-class LipschitzBound:
+class LipschitzBound(_tuple_record("LipschitzBound", "entity bound strategy exact")):
     """Per-entity slope bound: |dg/dx_entity| <= bound everywhere on the box."""
 
-    entity: VarId
-    bound: float
-    strategy: str
-    exact: bool
+    __slots__ = ()
 
 
 def lipschitz_bound(
@@ -109,13 +104,12 @@ def _corner_max_abs(d: Polynomial, dvars: list[VarId], box: dict[VarId, Interval
     p*2^p float operations for the constant and for each remaining variable
     however few terms d has, so a sparse slope with a long prefix is slow.
     """
-    # keyed by VarId's fields: a tuple of strs hashes in C, a VarId in Python
-    bit = {(v.entity, v.attribute): 1 << i for i, v in enumerate(dvars)}
+    bit = {v: 1 << i for i, v in enumerate(dvars)}
     coeffs, head = {}, 0  # head: the bits of variables not last in their monomial
     for m, c in d.items():
         mask = last = 0
         for v, _ in m.powers:
-            last = bit[v.entity, v.attribute]
+            last = bit[v]
             mask |= last
         coeffs[mask] = c
         head |= mask ^ last

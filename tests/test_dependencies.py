@@ -1,4 +1,7 @@
-"""The node runs on the standard library alone: numpy is a test dependency only."""
+"""The node runs on the standard library alone: numpy is a test dependency only.
+
+A node's start loads what it serves and nothing of the analyst side.
+"""
 
 from __future__ import annotations
 
@@ -28,6 +31,62 @@ def test_importing_the_package_leaves_numpy_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+# Modules that starting a node must not load: dataclasses pulls in inspect and
+# ast, the client and script modules are analyst-side, and secrets loads OpenSSL.
+OFF_START_PATH = ("dataclasses", "pscalar.client", "pscalar.script", "secrets", "hashlib")
+
+START_PATH_PROBE = f"""
+import sys, pscalar, pscalar.cli
+print(sorted(m for m in {OFF_START_PATH!r} if m in sys.modules))
+missing = [n for n in pscalar.__all__ if not hasattr(pscalar, n)]
+from pscalar import Session, run_script
+print(missing, Session.__module__, run_script.__module__)
+"""
+
+
+def test_starting_a_node_loads_no_analyst_module():
+    proc = subprocess.run(
+        [sys.executable, "-c", START_PATH_PROBE], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n[] pscalar.client pscalar.script\n"
+
+
+def test_a_node_serves_with_analyst_modules_unimportable(tmp_path):
+    data = tmp_path / "people.csv"
+    data.write_text("entity,value,floor,ceiling\nA,1,0,2\nB,3,0,4\n", encoding="utf-8")
+    launcher = (
+        "import runpy, sys; "
+        + "".join(f"sys.modules[{m!r}] = None; " for m in OFF_START_PATH)
+        + "runpy.run_module('pscalar', run_name='__main__', alter_sys=True)"
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-c", launcher, "node", "serve", "--data", f"{data}:people",
+         "--port", "0", "--eps", "50", "--delta", "1e-6", "--seed", "3", "--user", "u:k",
+         "--journal", str(tmp_path / "state")],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    try:
+        m = re.match(r"pscalar-node listening on (\S+):(\d+)", proc.stdout.readline())
+        assert m, proc.stderr.read() if proc.poll() is not None else "no banner"
+        with Session.connect(f"{m.group(1)}:{m.group(2)}", "k") as s:
+            query = s.sum_of(s.roots("people")) ** 2
+            assert s.simulate(query, 10.0).passed
+            assert s.publish(query, 10.0).publish_id
+    finally:
+        proc.send_signal(signal.SIGINT)
+        try:
+            proc.wait(timeout=10)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
+            stderr = proc.stderr.read()
+            proc.stderr.close()
+    assert proc.returncode == 0, stderr
 
 
 def _bounds(j):

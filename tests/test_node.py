@@ -16,6 +16,8 @@ from oracles import rho_cap
 from pscalar.cli import node_main
 from pscalar.node import (
     AUDIT_FILE,
+    MAX_REQUEST_BYTES,
+    DatasetRow,
     IngestError,
     Node,
     NodeConfig,
@@ -39,6 +41,7 @@ from pscalar.wire import (
 )
 from pscalar.accounting import RdpSpend
 from pscalar.mechanism import PublishReceipt
+from pscalar.scalar import EntityInput
 
 
 # -- wire primitives --------------------------------------------------------------------
@@ -87,6 +90,29 @@ def test_receipt_wire_redaction():
     assert wired["value"] == 12.5 and wired["publish_id"] == "p000001"
     assert_no_private_leakage(wired)
     assert "clipped_input" not in json.dumps(wired)
+
+
+# -- records ---------------------------------------------------------------------------
+
+
+def test_value_records_refuse_json_and_keep_their_checks():
+    spend = RdpSpend(VarId("A"), 0.125, 0.5)
+    for record in (
+        EntityInput(0.7, 0.0, 1.0),
+        DatasetRow("A", 0.7, 0.0, 1.0),
+        spend,
+        PublishReceipt("p000001", 12.5, 3.0, (spend,), "2026-01-01T00:00:00+00:00"),
+    ):
+        with pytest.raises(TypeError):
+            json.dumps(record)
+        with pytest.raises(TypeError):
+            json.dumps({"nested": [record]})
+    assert EntityInput(0.7, 0.0, 1.0) == EntityInput(0.7, 0.0, 1.0) != EntityInput(0.7, 0.0, 2.0)
+    assert spend == RdpSpend(VarId("A"), 0.125, 0.5)
+    assert repr(spend) == "RdpSpend(entity=VarId(entity='A', attribute=''), rho=0.125, lipschitz=0.5)"
+    for rho in (-1.0, float("nan")):
+        with pytest.raises(ValueError):
+            RdpSpend(VarId("A"), rho, 0.5)
 
 
 # -- ingest ------------------------------------------------------------------------------
@@ -762,6 +788,47 @@ def test_tcp_malformed_and_auth_frames(tmp_path):
             # ids echo back on every frame
             resp = send(json.dumps({"id": 42, "op": "list_datasets"}).encode())
             assert resp["id"] == 42 and resp["datasets"][0]["name"] == "people"
+    finally:
+        server.shutdown()
+        server.server_close()
+        node.close()
+
+
+def test_tcp_request_line_is_bounded(tmp_path, monkeypatch):
+    fold = {"id": 1, "op": "fold", "kind": "sum", "handles": [f"h{i}" for i in range(10**5)]}
+    assert len(encode(fold)) < MAX_REQUEST_BYTES
+    limit = 4096
+    monkeypatch.setattr("pscalar.node.MAX_REQUEST_BYTES", limit)
+    node = make_node(tmp_path)
+    serve_csv(tmp_path, node)
+    node.add_user("u1", key="k1")
+    server = start_server(node)
+    host, port = server.address
+    auth = json.dumps({"id": 1, "op": "auth", "key": "k1"}).encode()
+    try:
+        with socket.create_connection((host, port), timeout=5) as other, \
+                socket.create_connection((host, port), timeout=5) as sock:
+            g, f = other.makefile("rwb"), sock.makefile("rwb")
+            for stream in (g, f):
+                stream.write(auth + b"\n")
+                stream.flush()
+                assert json.loads(stream.readline())["ok"]
+            # a line of exactly the limit, newline included, is served
+            f.write(auth + b" " * (limit - len(auth) - 1) + b"\n")
+            f.flush()
+            assert json.loads(f.readline())["ok"]
+            # one byte more, sent without a newline: one refusal, then the node hangs up
+            f.write(b"x" * (limit + 1))
+            f.flush()
+            resp = json.loads(f.readline())
+            assert resp == {"id": None, "ok": False,
+                            "error": {"code": "bad_request", "detail": "request too large"}}
+            assert f.readline() == b""
+            g.write(json.dumps({"id": 2, "op": "list_datasets"}).encode() + b"\n")
+            g.flush()
+            assert json.loads(g.readline())["datasets"][0]["name"] == "people"
+            g.close()
+            f.close()
     finally:
         server.shutdown()
         server.server_close()

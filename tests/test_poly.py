@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings
@@ -249,6 +250,30 @@ def _oracle_diff(terms):
     from oracles import diff_terms
 
     return [(c, pw) for c, pw in diff_terms(terms, "A") if c != 0]
+
+
+# -- key records ----------------------------------------------------------------------
+
+
+@given(st.lists(st.builds(VarId, st.text(max_size=3), st.text(max_size=3)), max_size=30))
+def test_varids_sort_by_entity_then_attribute(vs):
+    assert sorted(vs) == sorted(vs, key=attrgetter("entity", "attribute"))
+
+
+def test_key_records_hash_as_their_field_tuples():
+    # the hashes a frozen dataclass gave, so sets and dicts of keys iterate as before
+    m = Monomial(((A, 2), (B, 1)))
+    assert hash(A) == hash(("A", "")) and hash(VarId("A", "age")) == hash(("A", "age"))
+    assert hash(m) == hash((m.powers,))
+
+
+def test_tuple_records_gain_no_arithmetic():
+    m = Monomial.of({A: 1})
+    i = Interval(0.0, 1.0)
+    for op in (lambda: m + m, lambda: 2 * m, lambda: i + i, lambda: 2 * i):
+        with pytest.raises(TypeError):
+            op()
+    assert m * m == Monomial.of({A: 2})
 
 
 # -- interval ranges ------------------------------------------------------------------

@@ -7,10 +7,10 @@ import json
 
 import pytest
 
-from pscalar.cli import _cmd_repl, _Repl
+from pscalar.cli import _cmd_repl
 from pscalar.client import ClientError, RemoteScalar, Session
 from pscalar.node import Node, NodeConfig, start_server
-from pscalar.script import ScriptError, _Runner
+from pscalar.script import ScriptError, _Repl, _Runner
 
 
 @pytest.fixture
