@@ -135,7 +135,6 @@ class Session:
     def __init__(self, sock: socket.socket, user: str, datasets: list[dict]):
         self._sock = sock
         self._rfile = sock.makefile("rb")
-        self._wfile = sock.makefile("wb")
         self._next_id = 0
         self.user = user
         self.datasets = datasets
@@ -166,8 +165,7 @@ class Session:
         self._next_id += 1
         rid = self._next_id
         try:
-            self._wfile.write(encode({"id": rid, "op": op, **fields}))
-            self._wfile.flush()
+            self._sock.sendall(encode({"id": rid, "op": op, **fields}))
             line = self._rfile.readline()
         except (OSError, ValueError) as exc:
             raise TransportError(f"connection unusable: {exc}") from exc
@@ -196,7 +194,6 @@ class Session:
     def close(self) -> None:
         try:
             self._rfile.close()
-            self._wfile.close()
         finally:
             self._sock.close()
 

@@ -35,6 +35,7 @@ from .scalar import (
     sum_scalars,
 )
 from .wire import (
+    _ENCODER,
     assert_no_private_leakage,
     encode,
     receipt_wire,
@@ -335,10 +336,26 @@ class Node:
 
     # -- audit ---------------------------------------------------------------------
 
-    def _audit_event(self, event: dict) -> None:
+    def _audit_event(self, session: NodeSession, op: object, resp: dict) -> None:
+        if self._audit_file is None:
+            return
+        event = {
+            "ts": _now_iso(),
+            "peer": session.peer,
+            "user": session.user.name if session.user else None,
+            "op": op if isinstance(op, str) else None,
+            "ok": resp["ok"],
+        }
+        if not resp["ok"]:
+            event["code"] = resp["error"]["code"]
+        if resp.get("publish_id"):
+            event["publish_id"], event["sigma"] = resp["publish_id"], resp["sigma"]
+        if resp.get("rejection"):
+            event["rejected_entities"] = resp["rejection"]["entities"]
+        line = _ENCODER.encode(event) + "\n"
         with self._audit_lock:
             if self._audit_file is not None:
-                self._audit_file.write(json.dumps(event, separators=(",", ":")) + "\n")
+                self._audit_file.write(line)
                 self._audit_file.flush()
 
     def close(self) -> None:
@@ -379,26 +396,7 @@ class Node:
             code = next((c for kind, c in _ERROR_CODES if isinstance(exc, kind)), "internal")
             resp = _error(rid, code, str(exc))
         assert_no_private_leakage(resp)
-        self._audit_event(
-            {
-                "ts": _now_iso(),
-                "peer": session.peer,
-                "user": session.user.name if session.user else None,
-                "op": op if isinstance(op, str) else None,
-                "ok": resp["ok"],
-                **({"code": resp["error"]["code"]} if not resp["ok"] else {}),
-                **(
-                    {"publish_id": resp["publish_id"], "sigma": resp["sigma"]}
-                    if resp.get("publish_id")
-                    else {}
-                ),
-                **(
-                    {"rejected_entities": resp["rejection"]["entities"]}
-                    if resp.get("rejection")
-                    else {}
-                ),
-            }
-        )
+        self._audit_event(session, op, resp)
         return resp
 
     # -- param helpers ------------------------------------------------------------------
@@ -569,7 +567,10 @@ class _LineHandler(socketserver.StreamRequestHandler):
         session = NodeSession(peer=f"{host}:{port}")
         node = self.server.node
         while True:
-            line = self.rfile.readline(MAX_REQUEST_BYTES + 1)
+            try:
+                line = self.rfile.readline(MAX_REQUEST_BYTES + 1)
+            except OSError:  # the peer reset the connection mid-line
+                break
             if not line:
                 break
             if not line.strip():
@@ -587,9 +588,8 @@ class _LineHandler(socketserver.StreamRequestHandler):
                 else:
                     resp = node.handle_request(session, msg)
             try:
-                self.wfile.write(encode(resp))
-                self.wfile.flush()
-            except (BrokenPipeError, ConnectionResetError):
+                self.request.sendall(encode(resp))
+            except OSError:
                 break
             if too_large:
                 break  # the rest of that line is never read

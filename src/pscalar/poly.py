@@ -122,8 +122,14 @@ class Monomial(_tuple_record("Monomial", "powers", defaults=((),))):
         return frozenset(v for v, _ in self.powers)
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        merged = dict(self.powers)
-        for v, e in other.powers:
+        a, b = self.powers, other.powers
+        # disjoint and in order, as in each step of a left fold over roots: join
+        if not a or not b or a[-1][0] < b[0][0]:
+            return Monomial(a + b)
+        if b[-1][0] < a[0][0]:
+            return Monomial(b + a)
+        merged = dict(a)
+        for v, e in b:
             merged[v] = merged.get(v, 0) + e
         return Monomial(tuple(sorted(merged.items())))
 

@@ -8,7 +8,8 @@ Transport is newline-delimited UTF-8 JSON.  Requests look like
 Everything leaving the node toward a data-scientist session is built from
 the serializers below, which carry no input value field, and then
 structurally scanned: no raw or clipped entity input value may ever appear
-on the wire.
+on the wire.  The scan checks the keys of every dict and walks only into
+dict, list and tuple values; a string or number cannot hold a key.
 """
 
 from __future__ import annotations
@@ -29,9 +30,13 @@ class WireLeakError(AssertionError):
     """An outbound message was about to carry private entity data."""
 
 
+# one for the wire and the audit log: json.dumps with options builds one per call
+_ENCODER = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
+
+
 def encode(msg: dict) -> bytes:
     """One protocol message as a single JSON line."""
-    return (json.dumps(msg, separators=(",", ":"), allow_nan=False) + "\n").encode("utf-8")
+    return (_ENCODER.encode(msg) + "\n").encode("utf-8")
 
 
 def decode(line: bytes | str) -> dict:
@@ -94,7 +99,7 @@ def assert_no_private_leakage(obj: Any) -> None:
 
     Rejects any dict carrying a private key, and any serialized entity-input
     record (a dict with both ``floor`` and ``ceiling``) that also carries a
-    ``value`` field.
+    ``value`` field.  The first such dict in document order is reported.
     """
     if isinstance(obj, dict):
         keys = obj.keys()
@@ -103,8 +108,9 @@ def assert_no_private_leakage(obj: Any) -> None:
             raise WireLeakError(f"private key(s) {sorted(bad)} in outbound message")
         if "floor" in keys and "ceiling" in keys and "value" in keys:
             raise WireLeakError("entity input serialized with its raw value")
-        for v in obj.values():
-            assert_no_private_leakage(v)
-    elif isinstance(obj, (list, tuple)):
-        for v in obj:
+        obj = obj.values()
+    elif not isinstance(obj, (list, tuple)):
+        return
+    for v in obj:
+        if isinstance(v, (dict, list, tuple)):
             assert_no_private_leakage(v)

@@ -16,6 +16,8 @@ Contents:
   (``renyi_divergence_exact``)
 * the analytic inverse of the conversion for single-entity noise calibration
   (``analytic_rho_for_eps``, ``analytic_sigma``)
+* the outbound-message leak scan as one recursive call per value
+  (``leak_scan``)
 """
 
 from __future__ import annotations
@@ -220,3 +222,31 @@ def renyi_divergence_quad(mu_p: float, mu_q: float, sigma: float, alpha: float) 
 def renyi_divergence_exact(mu_p: float, mu_q: float, sigma: float, alpha: float) -> float:
     """Closed form for the same divergence: alpha * (mu_p-mu_q)^2 / (2 sigma^2)."""
     return alpha * (mu_p - mu_q) ** 2 / (2.0 * sigma * sigma)
+
+
+# -- wire leak scan reference ----------------------------------------------------------
+
+
+def leak_scan(obj) -> str | None:
+    """The first leak in an outbound payload, in document order, or None.
+
+    A dict leaks if it has a private key, or if it carries ``floor``,
+    ``ceiling`` and ``value`` together (an entity input with its raw value).
+    Every value is visited, scalars included, as the node's scan once did.
+    """
+    if isinstance(obj, dict):
+        bad = {"clipped_input", "raw_value"}.intersection(obj.keys())
+        if bad:
+            return f"private key(s) {sorted(bad)} in outbound message"
+        if "floor" in obj and "ceiling" in obj and "value" in obj:
+            return "entity input serialized with its raw value"
+        children = obj.values()
+    elif isinstance(obj, (list, tuple)):
+        children = obj
+    else:
+        return None
+    for v in children:
+        found = leak_scan(v)
+        if found is not None:
+            return found
+    return None

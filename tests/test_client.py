@@ -299,7 +299,7 @@ def test_client_state_contains_no_private_values(live):
                     else {k: v for k, v in vars(obj).items() if not k.startswith("_sock")}
                 )
                 for k, v in attrs.items():
-                    if k in ("_rfile", "_wfile", "_sock", "session"):
+                    if k in ("_rfile", "_sock", "session"):
                         continue
                     scan(v, f"{path}.{k}")
 

@@ -6,8 +6,10 @@ import itertools
 import json
 import signal
 import socket
+import struct
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -652,9 +654,8 @@ def test_restart_preserves_budgets(tmp_path):
     fits = drain(node, s, h, 200.0)
     assert fits > 0
     before = call(node, s, "remaining_budget", entity="A")["eps"]
-    # crash without close(); journals must already be on disk
-    del node
-
+    # a crash: the second node boots while the first was never closed, so the
+    # journals must already be on disk
     node2 = boot()
     s2 = authed_session(node2)
     h2 = call(node2, s2, "get_roots", dataset="people")["roots"][0]["handle"]
@@ -663,6 +664,7 @@ def test_restart_preserves_budgets(tmp_path):
     resp = call(node2, s2, "publish", handle=h2, sigma=200.0)
     assert resp["error"]["code"] == "budget_rejected"
     node2.close()
+    node.close()
 
 
 def test_user_registry_persistence(tmp_path):
@@ -829,6 +831,49 @@ def test_tcp_request_line_is_bounded(tmp_path, monkeypatch):
             assert json.loads(g.readline())["datasets"][0]["name"] == "people"
             g.close()
             f.close()
+    finally:
+        server.shutdown()
+        server.server_close()
+        node.close()
+
+
+def test_tcp_reset_mid_request_ends_the_session_quietly(tmp_path):
+    node = make_node(tmp_path)
+    serve_csv(tmp_path, node)
+    node.add_user("u1", key="k1")
+    server = start_server(node)
+    errors, closed = [], threading.Event()
+    server.handle_error = lambda request, addr: errors.append(addr)
+    shutdown_request = server.shutdown_request
+
+    def note_closed(request):
+        shutdown_request(request)
+        closed.set()
+
+    server.shutdown_request = note_closed
+    auth = json.dumps({"id": 1, "op": "auth", "key": "k1"}).encode() + b"\n"
+    try:
+        with socket.create_connection(server.address, timeout=5) as other:
+            g = other.makefile("rwb")
+            g.write(auth)
+            g.flush()
+            assert json.loads(g.readline())["ok"]
+            sock = socket.create_connection(server.address, timeout=5)
+            f = sock.makefile("rwb")
+            f.write(auth)
+            f.flush()
+            assert json.loads(f.readline())["ok"]  # the node now waits on this session
+            f.write(b'{"id": 2, "op": "list_')
+            f.flush()
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            f.close()
+            sock.close()  # an RST in the middle of a request line, not a FIN
+            assert closed.wait(5)
+            assert errors == []
+            g.write(json.dumps({"id": 3, "op": "list_datasets"}).encode() + b"\n")
+            g.flush()
+            assert json.loads(g.readline())["datasets"][0]["name"] == "people"
+            g.close()
     finally:
         server.shutdown()
         server.server_close()

@@ -260,6 +260,24 @@ def test_varids_sort_by_entity_then_attribute(vs):
     assert sorted(vs) == sorted(vs, key=attrgetter("entity", "attribute"))
 
 
+def _monomials():
+    """Monomials over a few short entity names, often disjoint and in order."""
+    var = st.builds(VarId, st.text("ABCD", max_size=2), st.sampled_from(["", "x"]))
+    return st.dictionaries(var, st.integers(1, 3), max_size=4).map(Monomial.of)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_monomials(), _monomials())
+def test_monomial_product_matches_the_dict_and_sort_product(m, n):
+    merged = dict(m.powers)
+    for v, e in n.powers:
+        merged[v] = merged.get(v, 0) + e
+    expected = Monomial(tuple(sorted(merged.items())))
+    for product in (m * n, n * m):
+        assert type(product) is Monomial and product.powers == expected.powers
+        assert hash(product) == hash(expected)
+
+
 def test_key_records_hash_as_their_field_tuples():
     # the hashes a frozen dataclass gave, so sets and dicts of keys iterate as before
     m = Monomial(((A, 2), (B, 1)))
