@@ -297,9 +297,9 @@ def calibrate_sigma(
     Spends scale as 1/sigma^2, so an entity costing u at sigma = 1 with ledger
     total t fits iff ``sigma^2 >= u / (rho_cap - t)``, where rho_cap is the
     largest total whose conversion stays within the cap.  The largest of these
-    exact inverses is stepped up by ulps until the filter admits it, then
-    confirmed through the real spend path.  Raises CalibrationError naming the
-    blocked entities when no sigma up to hi can pass.
+    exact inverses is stepped up by ulps until the filter admits it.  Raises
+    CalibrationError naming the blocked entities when no sigma up to hi can
+    pass.
     """
     unit_spends = spend_for_publish(scalar, 1.0)
     eps, log_inv = policy.eps_cap, math.log(1.0 / policy.delta)
@@ -313,14 +313,13 @@ def calibrate_sigma(
     blocked = sorted(e for e, s in needed.items() if s > hi)
     if not blocked:
         sigma = max([lo, *needed.values()])
+        decision = filter_check(ledger, spend_for_publish(scalar, sigma), policy)
         for _ in range(_CALIBRATION_ULP_STEPS):
-            scaled = [RdpSpend(s.entity, s.rho / (sigma * sigma), s.lipschitz) for s in unit_spends]
-            if filter_check(ledger, scaled, policy).ok:
+            if decision.ok:
                 break
             sigma = math.nextafter(sigma, math.inf)
-        # The scaled and direct spends round alike, so this refuses only when
-        # the steps ran out: the entities still over the cap are blocked.
-        decision = filter_check(ledger, spend_for_publish(scalar, sigma), policy)
+            decision = filter_check(ledger, spend_for_publish(scalar, sigma), policy)
+        # a refusal here means the steps ran out: the entities still over the cap are blocked
         blocked = [e for e, _ in decision.violations]
     if blocked:
         raise CalibrationError(

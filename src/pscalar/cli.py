@@ -55,18 +55,22 @@ def _node_parser() -> argparse.ArgumentParser:
         metavar="NAME:KEY",
         help="ephemeral account (not persisted); for demos and tests",
     )
+    serve.set_defaults(handler=_cmd_serve)
 
     users = sub.add_parser("users", help="manage the persistent user registry")
     users_sub = users.add_subparsers(dest="users_command", required=True)
     add = users_sub.add_parser("add", help="register a user and print the api key")
     add.add_argument("--name", required=True)
     add.add_argument("--journal", required=True, metavar="DIR")
+    add.set_defaults(handler=_cmd_users_add)
     lst = users_sub.add_parser("list", help="list registered users")
     lst.add_argument("--journal", required=True, metavar="DIR")
+    lst.set_defaults(handler=_cmd_users_list)
 
     audit = sub.add_parser("audit", help="print request history and cumulative spends")
     audit.add_argument("--journal", required=True, metavar="DIR")
     audit.add_argument("--json", action="store_true", help="raw JSON output")
+    audit.set_defaults(handler=_cmd_audit)
     return parser
 
 
@@ -110,11 +114,12 @@ def _cmd_serve(args) -> int:
     return 0
 
 
-def _cmd_users(args) -> int:
-    if args.users_command == "add":
-        key = users_add(args.journal, args.name)
-        print(key)
-        return 0
+def _cmd_users_add(args) -> int:
+    print(users_add(args.journal, args.name))
+    return 0
+
+
+def _cmd_users_list(args) -> int:
     for record in load_users_file(args.journal):
         print(record["name"])
     return 0
@@ -142,39 +147,32 @@ def _cmd_audit(args) -> int:
     return 0
 
 
-def _broken_pipe_exit() -> int:
-    # downstream closed early (e.g. piped into head): silence the interpreter's
-    # shutdown flush by pointing stdout at devnull, exit like a killed pipe
-    devnull = os.open(os.devnull, os.O_WRONLY)
-    os.dup2(devnull, sys.stdout.fileno())
-    return 1
+def _run(args, failures) -> int:
+    """Run the handler the parsed command names.
 
-
-def _finish(rc: int) -> int:
-    # buffered output can hit a closed pipe only at flush time; force that
-    # here where it can be handled instead of at interpreter shutdown
+    ``failures`` pairs each exception type that ends a command with exit code
+    1 with the prefix of its one stderr line, most specific first.
+    """
     try:
+        rc = args.handler(args)
+        # buffered output can hit a closed pipe only at flush time; force that
+        # here where it can be handled instead of at interpreter shutdown
         sys.stdout.flush()
+        return rc
     except BrokenPipeError:
-        return _broken_pipe_exit()
-    return rc
+        # downstream closed early (e.g. piped into head): silence the interpreter's
+        # shutdown flush by pointing stdout at devnull, exit like a killed pipe
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    except tuple(kind for kind, _ in failures) as exc:
+        prefix = next(prefix for kind, prefix in failures if isinstance(exc, kind))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return 1
 
 
 def node_main(argv: list[str] | None = None) -> int:
-    args = _node_parser().parse_args(argv)
-    try:
-        if args.command == "serve":
-            return _finish(_cmd_serve(args))
-        if args.command == "users":
-            return _finish(_cmd_users(args))
-        if args.command == "audit":
-            return _finish(_cmd_audit(args))
-    except BrokenPipeError:
-        return _broken_pipe_exit()
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    return 2  # pragma: no cover
+    return _run(_node_parser().parse_args(argv), [(ValueError, "error"), (OSError, "error")])
 
 
 # -- client -------------------------------------------------------------------
@@ -192,13 +190,16 @@ def _client_parser() -> argparse.ArgumentParser:
     run.add_argument("script", help="JSON-lines scenario file")
     run.add_argument("--addr", required=True, metavar="HOST:PORT")
     run.add_argument("--key", help=f"api key (default: ${KEY_ENV_VAR})")
+    run.set_defaults(handler=_cmd_run)
 
     repl = sub.add_parser("repl", help="interactive line-oriented session")
     repl.add_argument("--addr", required=True, metavar="HOST:PORT")
     repl.add_argument("--key", help=f"api key (default: ${KEY_ENV_VAR})")
+    repl.set_defaults(handler=_cmd_repl)
 
     demo = sub.add_parser("demos", help="copy the bundled demo files somewhere")
     demo.add_argument("--out", required=True, metavar="DIR")
+    demo.set_defaults(handler=_cmd_demos)
     return parser
 
 
@@ -232,8 +233,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_repl(args) -> int:
-    from .client import ClientError, Session
-    from .script import _Repl, _Runner
+    from .client import Session
+    from .script import _STEP_FAILURES, _Repl, _Runner
 
     key = _resolve_key(args)
     if not key:
@@ -252,7 +253,7 @@ def _cmd_repl(args) -> int:
                 out = repl.handle(line)
             except EOFError:
                 return 0
-            except (ClientError, ValueError, IndexError, KeyError, TypeError) as exc:
+            except _STEP_FAILURES as exc:
                 out = f"error: {exc}"
             if out:
                 print(out)
@@ -271,25 +272,7 @@ def client_main(argv: list[str] | None = None) -> int:
     from .script import ScriptError
 
     args = _client_parser().parse_args(argv)
-    try:
-        if args.command == "run":
-            return _finish(_cmd_run(args))
-        if args.command == "repl":
-            return _finish(_cmd_repl(args))
-        if args.command == "demos":
-            return _finish(_cmd_demos(args))
-    except ScriptError as exc:
-        print(f"script error: {exc}", file=sys.stderr)
-        return 1
-    except ClientError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except BrokenPipeError:
-        return _broken_pipe_exit()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    return 2  # pragma: no cover
+    return _run(args, [(ScriptError, "script error"), (ClientError, "error"), (OSError, "error")])
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -7,12 +7,11 @@ never reach this side of the connection.
 
 from __future__ import annotations
 
-import json
 import numbers
 import socket
 from dataclasses import dataclass
 
-from .wire import encode
+from .wire import decode, encode
 
 
 class ClientError(Exception):
@@ -148,8 +147,7 @@ class Session:
                 raise ClientError(f"address must look like host:port, got {addr!r}")
             addr = (host, int(port_text))
         sock = socket.create_connection(addr, timeout=timeout)
-        session = object.__new__(cls)
-        Session.__init__(session, sock, user="", datasets=[])
+        session = cls(sock, user="", datasets=[])
         try:
             payload = session._call("auth", key=key)
         except ClientError:
@@ -172,7 +170,7 @@ class Session:
         if not line:
             raise TransportError("connection closed by node")
         try:
-            resp = json.loads(line)
+            resp = decode(line)
         except ValueError as exc:
             raise TransportError(f"bad response: {exc}") from exc
         if resp.get("id") not in (rid, None):
@@ -180,6 +178,8 @@ class Session:
         if resp.get("ok"):
             return resp
         err = resp.get("error") or {}
+        if not isinstance(err, dict):
+            raise TransportError("bad response: a refusal's error must be an object")
         code = err.get("code", "unknown")
         detail = err.get("detail", "")
         if code == "budget_rejected":
@@ -209,10 +209,9 @@ class Session:
         return self._call("list_datasets")["datasets"]
 
     def roots(self, dataset: str) -> list[RemoteScalar]:
-        payload = self._call("get_roots", dataset=dataset)
         return [
             RemoteScalar(self, r["handle"], {"degree": 1, "terms": 1, "entities": 1})
-            for r in payload["roots"]
+            for r in self.root_records(dataset)
         ]
 
     def root_records(self, dataset: str) -> list[dict]:
@@ -225,19 +224,21 @@ class Session:
             raise ClientError("cannot mix scalars from different sessions")
         return scalar.handle
 
-    def _binop(self, kind: str, a: RemoteScalar, b: RemoteScalar) -> RemoteScalar:
-        payload = self._call("binop", kind=kind, a=a.handle, b=self._own(b))
+    def _derive(self, op: str, **fields) -> RemoteScalar:
+        """Send an op that makes a new scalar and wrap the handle it answers with."""
+        payload = self._call(op, **fields)
         return RemoteScalar(self, payload["handle"], payload.get("meta"))
+
+    def _binop(self, kind: str, a: RemoteScalar, b: RemoteScalar) -> RemoteScalar:
+        return self._derive("binop", kind=kind, a=a.handle, b=self._own(b))
 
     def _fold(self, kind: str, scalars: list[RemoteScalar]) -> RemoteScalar:
         if not scalars:
             raise ClientError(f"cannot {kind} an empty list of remote scalars")
-        payload = self._call("fold", kind=kind, handles=[self._own(s) for s in scalars])
-        return RemoteScalar(self, payload["handle"], payload.get("meta"))
+        return self._derive("fold", kind=kind, handles=[self._own(s) for s in scalars])
 
     def _unop(self, kind: str, a: RemoteScalar, **extra) -> RemoteScalar:
-        payload = self._call("unop", kind=kind, handle=a.handle, **extra)
-        return RemoteScalar(self, payload["handle"], payload.get("meta"))
+        return self._derive("unop", kind=kind, handle=a.handle, **extra)
 
     def describe(self, scalar: RemoteScalar) -> dict:
         return self._call("describe", handle=scalar.handle)["scalar"]

@@ -18,13 +18,6 @@ from .accounting import (
 from .poly import _SlotsRecord
 from .scalar import PrivateScalar
 
-#: How noise is produced, fixed for reproducibility guarantees.
-NOISE_ALGORITHM = (
-    "random.gauss (Box-Muller) over random.Random (MT19937) when seeded, "
-    "over random.SystemRandom (OS entropy) when not"
-)
-
-
 class BudgetRejected(Exception):
     """Typed refusal: the release would push listed entities over their cap.
 
@@ -57,7 +50,6 @@ class GaussianNoiseSource:
         else:
             raise ValueError(f"noise seed must be a non-negative integer, got {seed!r}")
         self.seed = seed
-        self.algorithm = NOISE_ALGORITHM
         self._gen = gen
         self._lock = threading.Lock()
 

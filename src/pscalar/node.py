@@ -37,6 +37,7 @@ from .scalar import (
 from .wire import (
     _ENCODER,
     assert_no_private_leakage,
+    decode,
     encode,
     receipt_wire,
     rejection_wire,
@@ -212,14 +213,6 @@ def load_users_file(journal_dir: str | Path) -> list[dict]:
     return data
 
 
-def save_users_file(journal_dir: str | Path, users: list[dict]) -> None:
-    path = Path(journal_dir) / USERS_FILE
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(".json.tmp")
-    tmp.write_text(json.dumps(users, indent=2) + "\n", encoding="utf-8")
-    tmp.replace(path)
-
-
 def users_add(journal_dir: str | Path, name: str) -> str:
     """Register a user offline and return the fresh api key."""
     if not _NAME_RE.match(name):
@@ -229,7 +222,11 @@ def users_add(journal_dir: str | Path, name: str) -> str:
         raise ValueError(f"user {name!r} already exists")
     key = os.urandom(16).hex()
     users.append({"name": name, "key": key})
-    save_users_file(journal_dir, users)
+    path = Path(journal_dir) / USERS_FILE
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_suffix(".json.tmp")
+    tmp.write_text(json.dumps(users, indent=2) + "\n", encoding="utf-8")
+    tmp.replace(path)
     return key
 
 
@@ -273,8 +270,6 @@ class Node:
         self.policy = BudgetPolicy(config.eps_cap, config.delta)
         self.noise = GaussianNoiseSource(config.seed)
         self.journal_dir = Path(config.journal_dir) if config.journal_dir else None
-        if self.journal_dir is not None:
-            self.journal_dir.mkdir(parents=True, exist_ok=True)
         self.store = ObjectStore()
         # dataset -> its public root records; raw values live only in the roots
         self._roots: dict[str, list[dict]] = {}
@@ -284,13 +279,17 @@ class Node:
         self._ledgers: dict[str, PrivacyLedger] = {}  # by journal scope
         self._audit_lock = threading.Lock()
         self._audit_file = None
-        if self.journal_dir is not None:
-            self._audit_file = open(self.journal_dir / AUDIT_FILE, "a", encoding="utf-8")
-        if config.shared_ledger:
-            self._ledger_for("")  # the one journal every account charges opens at start
-        if self.journal_dir is not None:
-            for record in load_users_file(self.journal_dir):
-                self.add_user(str(record["name"]), str(record["key"]))
+        try:  # a start that fails closes what it opened
+            if self.journal_dir is not None:
+                self.journal_dir.mkdir(parents=True, exist_ok=True)
+                self._audit_file = open(self.journal_dir / AUDIT_FILE, "a", encoding="utf-8")
+                for record in load_users_file(self.journal_dir):
+                    self.add_user(str(record["name"]), str(record["key"]))
+            if config.shared_ledger:
+                self._ledger_for("")  # the one journal every account charges opens at start
+        except BaseException:
+            self.close()
+            raise
 
     # -- administration -----------------------------------------------------------
 
@@ -580,9 +579,7 @@ class _LineHandler(socketserver.StreamRequestHandler):
                 resp = _error(None, "bad_request", "request too large")
             else:
                 try:
-                    msg = json.loads(line)
-                    if not isinstance(msg, dict):
-                        raise ValueError("not an object")
+                    msg = decode(line)
                 except ValueError:
                     resp = _error(None, "bad_request", "invalid JSON request")
                 else:

@@ -298,15 +298,14 @@ class Polynomial:
     def sorted_terms(self) -> list[tuple[Monomial, float]]:
         """Terms in graded-lexicographic order, highest first.
 
-        A monomial's ``(variable rank, -exponent)`` pairs order it as its dense
-        exponent vector would: of equal degree, no key is a prefix of another.
+        A monomial's ``(variable, -exponent)`` pairs order it as its dense
+        exponent vector would, since variables order as their ranks do: of
+        equal degree, no key is a prefix of another.
         """
-        ranked = sorted(self.variables())
-        index = {v: i for i, v in enumerate(ranked)}
 
         def key(item):
             m, _ = item
-            return (-m.degree, [(index[v], -e) for v, e in m.powers])
+            return (-m.degree, [(v, -e) for v, e in m.powers])
 
         return sorted(self._terms.items(), key=key)
 

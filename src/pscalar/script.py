@@ -85,6 +85,8 @@ def parse_script(path: str | Path) -> list[dict]:
 _BINARY = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
 # steps after which a script's report notes the session's least remaining budget
 _BUDGET_NOTED = ("simulate", "publish", "expect_reject")
+# what a failed step raises, in a script run and at the REPL prompt alike
+_STEP_FAILURES = (ClientError, KeyError, IndexError, TypeError, ValueError)
 
 
 class _Runner:
@@ -349,7 +351,7 @@ def run_script(
                 detail = runner.run_step(step)
                 if kind in _BUDGET_NOTED:
                     runner._note_budget(step)
-            except (ScriptError, ClientError, KeyError, IndexError, TypeError, ValueError) as exc:
+            except _STEP_FAILURES as exc:
                 detail = f"line {step['_line']}: {exc}"
                 report.steps.append(StepResult(index, kind, False, detail))
                 report.ok = False

@@ -40,6 +40,7 @@ def encode(msg: dict) -> bytes:
 
 
 def decode(line: bytes | str) -> dict:
+    """One protocol message from a JSON line; ValueError unless it is an object."""
     msg = json.loads(line)
     if not isinstance(msg, dict):
         raise ValueError("protocol messages must be JSON objects")

@@ -328,8 +328,13 @@ def _one_shot_server(lines: list[bytes]):
     return srv.getsockname()
 
 
-def test_garbage_response_is_transport_error():
-    addr = _one_shot_server([b"not json at all\n"])
+@pytest.mark.parametrize(
+    "answer",
+    [b"not json at all\n", b"[1]\n", b"7\n", b'{"id":1,"ok":false,"error":"x"}\n'],
+    ids=["not_json", "list", "number", "error_not_an_object"],
+)
+def test_garbage_response_is_transport_error(answer):
+    addr = _one_shot_server([answer])
     with pytest.raises(TransportError):
         Session.connect(addr, "k")
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 import json
 import signal
@@ -684,6 +685,26 @@ def test_user_registry_persistence(tmp_path):
     resp = node.handle_request(session, {"id": 1, "op": "auth", "key": key1})
     assert resp["ok"] and resp["user"] == "alice"
     node.close()
+
+
+@pytest.mark.parametrize(
+    "users, match",
+    [
+        ({"name": "alice", "key": "k"}, "expected a JSON list"),
+        ([{"name": "alice", "key": "k1"}, {"name": "alice", "key": "k2"}], "already exists"),
+        ([{"name": "alice", "key": "k"}, {"name": "bob", "key": "k"}], "api key"),
+    ],
+    ids=["not_a_list", "repeated_name", "repeated_key"],
+)
+def test_node_that_fails_to_start_closes_its_files(tmp_path, users, match):
+    # the first account's ledger journal is open when the second one is refused;
+    # a file left open fails the test through the ResourceWarning filter
+    journal = tmp_path / "state"
+    journal.mkdir()
+    (journal / "users.json").write_text(json.dumps(users), encoding="utf-8")
+    with pytest.raises(ValueError, match=match):
+        Node(NodeConfig(eps_cap=1.0, delta=1e-6, journal_dir=journal))
+    gc.collect()
 
 
 def test_audit_trail_records_publishes(tmp_path):
