@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numbers
 import socket
+from collections import deque
 from dataclasses import dataclass
 
 from .wire import decode, encode
@@ -60,16 +61,30 @@ class SimulateResult:
     rejection: dict | None
 
 
+_NUMBER = (int, float)  # JSON does not tell 1 from 1.0
+
+
+def _field(payload: dict, key: str, kind: type | tuple[type, ...]):
+    """``payload[key]`` if it is a ``kind``; a node answer of another shape is gibberish."""
+    value = payload.get(key)
+    if not isinstance(value, kind):
+        raise TransportError(f"bad response: field {key!r} is missing or of the wrong type")
+    return value
+
+
 class RemoteScalar:
     """Reference to a private scalar living on the node.
 
     Holds only the handle and public metadata (degree, term and entity
-    counts).  Mixing scalars from different sessions is an error.
+    counts).  Mixing scalars from different sessions is an error.  A scalar
+    its session minted (``owned``) is forgotten on the node once it is
+    garbage-collected here: its handle rides on the session's next request.
     """
 
-    __slots__ = ("session", "handle", "degree", "terms", "entities")
+    __slots__ = ("owned", "session", "handle", "degree", "terms", "entities")
 
     def __init__(self, session: "Session", handle: str, meta: dict | None = None):
+        self.owned = False  # first, so that __del__ sees it on any object
         self.session = session
         self.handle = handle
         meta = meta or {}
@@ -124,6 +139,19 @@ class RemoteScalar:
 
     __rtruediv__ = __truediv__
 
+    # a copy is the scalar itself: one object owns a minted handle, and releases it once
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+    def __del__(self):
+        if self.owned:
+            queue = self.session._release
+            if queue is not None:  # None once the session is closed
+                queue.append(self.handle)
+
     def __repr__(self):
         return f"RemoteScalar({self.handle}, degree={self.degree}, entities={self.entities})"
 
@@ -135,6 +163,9 @@ class Session:
         self._sock = sock
         self._rfile = sock.makefile("rb")
         self._next_id = 0
+        # handles to forget with the next request; a deque, because a scalar
+        # may be collected in another thread while a request takes them out
+        self._release: deque[str] | None = deque()
         self.user = user
         self.datasets = datasets
 
@@ -142,19 +173,20 @@ class Session:
     def connect(cls, addr: str | tuple[str, int], key: str, timeout: float = 10.0) -> "Session":
         """Open a TCP session and authenticate with the api key."""
         if isinstance(addr, str):
-            host, _, port_text = addr.rpartition(":")
-            if not host:
+            host, _, port = addr.rpartition(":")
+            if not host or not port.isdecimal():
                 raise ClientError(f"address must look like host:port, got {addr!r}")
-            addr = (host, int(port_text))
-        sock = socket.create_connection(addr, timeout=timeout)
-        session = cls(sock, user="", datasets=[])
+            addr = (host, int(port))
+        if not 0 < addr[1] < 65536:
+            raise ClientError(f"port must be in 1-65535, got {addr[1]}")
+        session = cls(socket.create_connection(addr, timeout=timeout), user="", datasets=[])
         try:
             payload = session._call("auth", key=key)
-        except ClientError:
-            sock.close()
+            session.user = _field(payload, "user", str)
+            session.datasets = _field(payload, "datasets", list)
+        except BaseException:
+            session.close()
             raise
-        session.user = payload["user"]
-        session.datasets = payload["datasets"]
         return session
 
     # -- plumbing ------------------------------------------------------------
@@ -162,10 +194,16 @@ class Session:
     def _call(self, op: str, **fields) -> dict:
         self._next_id += 1
         rid = self._next_id
+        msg = {"id": rid, "op": op, **fields}
+        queue = self._release
+        if queue:
+            msg["release"] = [queue.popleft() for _ in range(len(queue))]
         try:
-            self._sock.sendall(encode({"id": rid, "op": op, **fields}))
+            self._sock.sendall(encode(msg))
             line = self._rfile.readline()
         except (OSError, ValueError) as exc:
+            if "release" in msg:
+                queue.extend(msg["release"])  # unsent, or sent on a dead connection
             raise TransportError(f"connection unusable: {exc}") from exc
         if not line:
             raise TransportError("connection closed by node")
@@ -183,15 +221,16 @@ class Session:
         code = err.get("code", "unknown")
         detail = err.get("detail", "")
         if code == "budget_rejected":
-            rej = resp.get("rejection") or {}
+            rej = _field(resp, "rejection", dict)
             raise PublishRejectedError(
-                code, detail, rej.get("entities", []), rej.get("projected_eps", [])
+                code, detail, _field(rej, "entities", list), _field(rej, "projected_eps", list)
             )
         if code == "auth_failed":
             raise AuthFailed(code, detail)
         raise RequestFailed(code, detail)
 
     def close(self) -> None:
+        self._release = None  # scalars collected from now on are not queued
         try:
             self._rfile.close()
         finally:
@@ -206,7 +245,7 @@ class Session:
     # -- operations --------------------------------------------------------------
 
     def list_datasets(self) -> list[dict]:
-        return self._call("list_datasets")["datasets"]
+        return _field(self._call("list_datasets"), "datasets", list)
 
     def roots(self, dataset: str) -> list[RemoteScalar]:
         return [
@@ -216,7 +255,7 @@ class Session:
 
     def root_records(self, dataset: str) -> list[dict]:
         """Public per-root metadata: handle, entity, floor, ceiling."""
-        return self._call("get_roots", dataset=dataset)["roots"]
+        return _field(self._call("get_roots", dataset=dataset), "roots", list)
 
     def _own(self, scalar: RemoteScalar) -> str:
         """The handle of one of this session's scalars."""
@@ -227,7 +266,9 @@ class Session:
     def _derive(self, op: str, **fields) -> RemoteScalar:
         """Send an op that makes a new scalar and wrap the handle it answers with."""
         payload = self._call(op, **fields)
-        return RemoteScalar(self, payload["handle"], payload.get("meta"))
+        scalar = RemoteScalar(self, _field(payload, "handle", str), _field(payload, "meta", dict))
+        scalar.owned = True
+        return scalar
 
     def _binop(self, kind: str, a: RemoteScalar, b: RemoteScalar) -> RemoteScalar:
         return self._derive("binop", kind=kind, a=a.handle, b=self._own(b))
@@ -241,24 +282,24 @@ class Session:
         return self._derive("unop", kind=kind, handle=a.handle, **extra)
 
     def describe(self, scalar: RemoteScalar) -> dict:
-        return self._call("describe", handle=scalar.handle)["scalar"]
+        return _field(self._call("describe", handle=scalar.handle), "scalar", dict)
 
     def publish(self, scalar: RemoteScalar, sigma: float) -> PublishResult:
         payload = self._call("publish", handle=scalar.handle, sigma=sigma)
         return PublishResult(
-            value=payload["value"],
-            publish_id=payload["publish_id"],
-            sigma=payload["sigma"],
-            spends=tuple(payload["spends"]),
-            timestamp=payload["timestamp"],
+            value=_field(payload, "value", _NUMBER),
+            publish_id=_field(payload, "publish_id", str),
+            sigma=_field(payload, "sigma", _NUMBER),
+            spends=tuple(_field(payload, "spends", list)),
+            timestamp=_field(payload, "timestamp", str),
         )
 
     def simulate(self, scalar: RemoteScalar, sigma: float) -> SimulateResult:
         payload = self._call("simulate_publish", handle=scalar.handle, sigma=sigma)
         return SimulateResult(
-            passed=payload["passed"],
-            spends=tuple(payload["spends"]),
-            rejection=payload.get("rejection"),
+            passed=_field(payload, "passed", bool),
+            spends=tuple(_field(payload, "spends", list)),
+            rejection=_field(payload, "rejection", (dict, type(None))),
         )
 
     def fork_sim(self) -> None:
@@ -268,10 +309,11 @@ class Session:
         """Remaining converted epsilon: one entity, 'min', or '*' for all."""
         payload = self._call("remaining_budget", entity=entity)
         if entity == "*":
-            return payload["remaining"]
-        return payload["eps"]
+            return _field(payload, "remaining", dict)
+        return _field(payload, "eps", _NUMBER)
 
     def drop(self, scalar: RemoteScalar) -> None:
+        scalar.owned = False  # gone now; not released a second time
         self._call("drop", handle=scalar.handle)
 
     def sum_of(self, scalars: list[RemoteScalar]) -> RemoteScalar:

@@ -138,16 +138,28 @@ class ObjectStore:
             raise NodeError("forbidden", f"handle {handle!r} belongs to another session")
         return obj.scalar
 
-    def drop(self, handle: str, user: str) -> None:
+    def drop(self, handles: list[str], user: str, *, skip_others: bool = False) -> int:
+        """Forget each of ``handles`` that ``user`` derived; return how many went.
+
+        A handle that is unknown, a dataset root or another user's raises
+        NodeError, or with ``skip_others`` is passed over.
+        """
+        dropped = 0
         with self._lock:
-            obj = self._objects.get(handle)
-            if obj is None:
-                raise NodeError("unknown_handle", f"no such handle {handle!r}")
-            if obj.owner is None:
-                raise NodeError("forbidden", "dataset roots cannot be dropped")
-            if obj.owner != user:
-                raise NodeError("forbidden", f"handle {handle!r} belongs to another session")
-            del self._objects[handle]
+            for handle in handles:
+                obj = self._objects.get(handle)
+                if obj is not None and obj.owner == user:
+                    del self._objects[handle]
+                    dropped += 1
+                elif skip_others:
+                    continue
+                elif obj is None:
+                    raise NodeError("unknown_handle", f"no such handle {handle!r}")
+                elif obj.owner is None:
+                    raise NodeError("forbidden", "dataset roots cannot be dropped")
+                else:
+                    raise NodeError("forbidden", f"handle {handle!r} belongs to another session")
+        return dropped
 
 
 def read_dataset_csv(path: str | Path, name: str | None = None) -> Dataset:
@@ -335,7 +347,7 @@ class Node:
 
     # -- audit ---------------------------------------------------------------------
 
-    def _audit_event(self, session: NodeSession, op: object, resp: dict) -> None:
+    def _audit_event(self, session: NodeSession, op: object, resp: dict, released: int) -> None:
         if self._audit_file is None:
             return
         event = {
@@ -351,6 +363,8 @@ class Node:
             event["publish_id"], event["sigma"] = resp["publish_id"], resp["sigma"]
         if resp.get("rejection"):
             event["rejected_entities"] = resp["rejection"]["entities"]
+        if released:
+            event["released"] = released
         line = _ENCODER.encode(event) + "\n"
         with self._audit_lock:
             if self._audit_file is not None:
@@ -371,6 +385,7 @@ class Node:
         rid = msg.get("id")
         rid = rid if isinstance(rid, int) and not isinstance(rid, bool) else None
         op = msg.get("op")
+        released = 0
         try:
             if rid is None:
                 raise NodeError("bad_request", "request id must be an integer")
@@ -381,10 +396,18 @@ class Node:
             else:
                 if session.user is None:
                     raise NodeError("auth_required", "authenticate first")
-                handler = self._OPS.get(op)
-                if handler is None:
-                    raise NodeError("unknown_op", f"unsupported op {op!r}")
-                payload = handler(self, session, msg)
+                # handles the client let go of, forgotten after the op whatever its outcome
+                release = msg.get("release", [])
+                if not isinstance(release, list) or not all(isinstance(h, str) for h in release):
+                    raise NodeError("bad_request", "field 'release' must be a list of strings")
+                try:
+                    handler = self._OPS.get(op)
+                    if handler is None:
+                        raise NodeError("unknown_op", f"unsupported op {op!r}")
+                    payload = handler(self, session, msg)
+                finally:
+                    if release:
+                        released = self.store.drop(release, session.user.name, skip_others=True)
             resp = {"id": rid, "ok": True, **payload}
         except BudgetRejected as exc:
             resp = _error(rid, "budget_rejected", str(exc))
@@ -395,7 +418,7 @@ class Node:
             code = next((c for kind, c in _ERROR_CODES if isinstance(exc, kind)), "internal")
             resp = _error(rid, code, str(exc))
         assert_no_private_leakage(resp)
-        self._audit_event(session, op, resp)
+        self._audit_event(session, op, resp, released)
         return resp
 
     # -- param helpers ------------------------------------------------------------------
@@ -534,15 +557,15 @@ class Node:
         if entity == "min":
             if not known:
                 return {"eps": policy.eps_cap, "entity": None}
-            values = {e: remaining_budget(ledger, e, policy) for e in known}
-            worst = min(sorted(values), key=lambda e: values[e])
-            return {"eps": values[worst], "entity": worst}
+            # a tie goes to the smallest name
+            eps, worst = min((remaining_budget(ledger, e, policy), e) for e in known)
+            return {"eps": eps, "entity": worst}
         if entity not in known:
             raise NodeError("unknown_entity", f"no entity named {entity!r}")
         return {"eps": remaining_budget(ledger, entity, policy), "entity": entity}
 
     def _op_drop(self, session: NodeSession, msg: dict) -> dict:
-        self.store.drop(self._want_str(msg, "handle"), session.user.name)
+        self.store.drop([self._want_str(msg, "handle")], session.user.name)
         return {"dropped": True}
 
     _OPS = {

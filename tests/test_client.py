@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import copy
+import gc
 import json
 import socket
+import sys
 import threading
 
 import pytest
 
+from pscalar.cli import client_main
 from pscalar.client import (
     AuthFailed,
     ClientError,
@@ -79,6 +83,25 @@ def test_bad_address_format():
         Session.connect("no-port-here", "k")
 
 
+@pytest.mark.parametrize("addr", ["localhost:abc", "localhost:", "localhost:70000", "localhost:0",
+                                  "localhost:-1", ("127.0.0.1", 65536)])
+def test_bad_port_is_a_client_error_before_connecting(addr):
+    with pytest.raises(ClientError) as err:
+        Session.connect(addr, "k")
+    assert "port" in str(err.value)
+
+
+@pytest.mark.parametrize("command", ["run", "repl"])
+@pytest.mark.parametrize("addr", ["localhost:abc", "localhost:70000"])
+def test_cli_with_a_bad_port_prints_one_error_line(command, addr, tmp_path, capsys):
+    script = tmp_path / "one.script"
+    script.write_text('{"step": "budget"}\n', encoding="utf-8")
+    argv = [command, *([str(script)] if command == "run" else []), "--addr", addr, "--key", "k"]
+    assert client_main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
 # -- remote arithmetic ---------------------------------------------------------------------
 
 
@@ -144,6 +167,143 @@ def test_drop_frees_handle(live):
         with pytest.raises(RequestFailed) as err2:
             s.drop(a)  # roots are not droppable
         assert err2.value.code == "forbidden"
+
+
+def _derived_handles(node, user="u1") -> set[str]:
+    return {h for h, obj in node.store._objects.items() if obj.owner == user}
+
+
+def test_left_fold_keeps_one_intermediate_on_the_node(live, tmp_path):
+    _addr, node = live
+    csv = tmp_path / "fold.csv"
+    csv.write_text(
+        "entity,value,floor,ceiling\n" + "".join(f"f{i},{i % 5},0,10\n" for i in range(200)),
+        encoding="utf-8",
+    )
+    node.ingest(csv)
+    with connect(live) as s:
+        roots = s.roots("fold")
+        requests = s._next_id
+        total = roots[0]
+        for root in roots[1:]:
+            total = total + root
+        # the releases rode on the adds: no request of their own
+        assert s._next_id - requests == 199
+        assert total.entities == 200
+        # the last total, and the one before it, queued for the next request
+        assert len(_derived_handles(node)) <= 2
+        assert total.handle in _derived_handles(node)
+        assert s.describe(total)["terms"] == 200
+        assert _derived_handles(node) == {total.handle}
+
+
+def test_released_handle_is_gone_and_others_stay(live):
+    _addr, node = live
+    with connect(live) as s:
+        a, b, c = s.roots("people")
+        kept, gone = a + b, a * c
+        gone_handle = gone.handle
+        del gone
+        assert list(s._release) == [gone_handle]
+        s.list_datasets()
+        assert not s._release
+        assert _derived_handles(node) == {kept.handle}
+        assert s.describe(kept)["terms"] == 2
+        # roots and hand-built scalars are never released
+        alias = RemoteScalar(s, kept.handle)
+        del a, alias
+        assert not s._release
+        assert len(node.store._objects) == 4
+
+
+def test_a_copy_shares_its_scalars_handle_and_owner(live):
+    with connect(live) as s:
+        a, b, _ = s.roots("people")
+        x = a + b
+        copies = [copy.copy(x), copy.deepcopy(x), copy.deepcopy([x])[0]]
+        assert all(c is x for c in copies)
+        del x
+        assert not s._release
+        s.describe(copies[0])
+        del copies
+        assert len(s._release) == 1
+
+
+def test_dropped_scalar_is_not_released_again(live):
+    _addr, node = live
+    with connect(live) as s:
+        a, b, _ = s.roots("people")
+        x = a + b
+        s.drop(x)
+        del x
+        assert not s._release
+        requests = s._next_id
+        s.list_datasets()
+        assert s._next_id == requests + 1
+        assert _derived_handles(node) == set()
+
+
+def test_closing_a_session_with_live_scalars_raises_nothing(live, monkeypatch):
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    s = connect(live)
+    a, b, _ = s.roots("people")
+    scalars = [a + b, a * b, -a]
+    s.close()
+    assert s._release is None
+    del scalars, a, b
+    gc.collect()
+    assert unraisable == []
+
+
+def test_scalars_collected_in_other_threads_are_each_released_once(live, monkeypatch):
+    from pscalar import client
+
+    sent = []
+    encode = client.encode
+
+    def spy(msg):
+        sent.extend(msg.get("release", ()))
+        return encode(msg)
+
+    monkeypatch.setattr(client, "encode", spy)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with connect(live) as s:
+            def collect(worker):
+                for i in range(2000):
+                    scalar = RemoteScalar(s, f"w{worker}-{i}")
+                    scalar.owned = True
+                    del scalar
+
+            workers = [threading.Thread(target=collect, args=(w,)) for w in range(4)]
+            for w in workers:
+                w.start()
+            while any(w.is_alive() for w in workers):
+                s.list_datasets()
+            for w in workers:
+                w.join(timeout=30.0)
+                assert not w.is_alive()
+            left = list(s._release)
+    finally:
+        sys.setswitchinterval(interval)
+    released = sent + left
+    assert len(released) == len(set(released)) == 8000
+
+
+def test_releases_are_resent_when_a_request_cannot_be_encoded(live):
+    _addr, node = live
+    with connect(live) as s:
+        a, b, _ = s.roots("people")
+        x = a + b
+        handle = x.handle
+        del x
+        with pytest.raises(TransportError):
+            a.scale(float("nan"))
+        assert list(s._release) == [handle]
+        s.list_datasets()
+        assert _derived_handles(node) == set()
 
 
 # -- publish / simulate ----------------------------------------------------------------------
@@ -311,42 +471,91 @@ def test_client_state_contains_no_private_values(live):
 
 
 def _one_shot_server(lines: list[bytes]):
-    """A fake node that reads one line then answers with canned bytes."""
+    """A fake node on one connection: it answers each request line with the
+    next canned bytes, then closes its side.  Returns its address and an event
+    that is set once the client has closed the connection too."""
     srv = socket.socket()
     srv.bind(("127.0.0.1", 0))
     srv.listen(1)
+    closed = threading.Event()
 
     def run():
         with srv:
             conn, _ = srv.accept()
-        with conn:
-            conn.recv(65536)
-            for line in lines:
-                conn.sendall(line)
+        conn.settimeout(10.0)
+        with conn, conn.makefile("rb") as requests:
+            try:
+                for line in lines:
+                    requests.readline()
+                    conn.sendall(line)
+                conn.shutdown(socket.SHUT_WR)
+                requests.read()  # until the client closes
+            except OSError:
+                return
+            closed.set()
 
     threading.Thread(target=run, daemon=True).start()
-    return srv.getsockname()
+    return srv.getsockname(), closed
+
+
+AUTH_OK = b'{"id":1,"ok":true,"user":"x","datasets":[]}\n'
 
 
 @pytest.mark.parametrize(
     "answer",
-    [b"not json at all\n", b"[1]\n", b"7\n", b'{"id":1,"ok":false,"error":"x"}\n'],
-    ids=["not_json", "list", "number", "error_not_an_object"],
+    [
+        b"not json at all\n", b"[1]\n", b"7\n", b'{"id":1,"ok":false,"error":"x"}\n',
+        b'{"id":1,"ok":true}\n', b'{"id":1,"ok":true,"user":"x","datasets":{}}\n',
+        b'{"id":1,"ok":false,"error":{"code":"budget_rejected","detail":"x"},"rejection":[1]}\n',
+        b'{"id":1,"ok":false,"error":{"code":"budget_rejected","detail":"x"},'
+        b'"rejection":{"entities":7,"projected_eps":[]}}\n',
+    ],
+    ids=["not_json", "list", "number", "error_not_an_object", "ok_without_user",
+         "datasets_not_a_list", "rejection_not_an_object", "rejected_entities_not_a_list"],
 )
 def test_garbage_response_is_transport_error(answer):
-    addr = _one_shot_server([answer])
+    addr, closed = _one_shot_server([answer])
     with pytest.raises(TransportError):
         Session.connect(addr, "k")
+    assert closed.wait(5.0), "connect left its socket open"
+
+
+@pytest.mark.parametrize(
+    "request_, answer",
+    [
+        (lambda s, a: a + a, b'{"id":2,"ok":true}\n'),
+        (lambda s, a: -a, b'{"id":2,"ok":true,"handle":7,"meta":{}}\n'),
+        (lambda s, a: s.sum_of([a]), b'{"id":2,"ok":true,"handle":"h9","meta":[]}\n'),
+        (lambda s, a: s.list_datasets(), b'{"id":2,"ok":true,"datasets":"x"}\n'),
+        (lambda s, a: s.root_records("d"), b'{"id":2,"ok":true}\n'),
+        (lambda s, a: s.describe(a), b'{"id":2,"ok":true,"scalar":[]}\n'),
+        (lambda s, a: s.publish(a, 1.0), b'{"id":2,"ok":true,"value":1.5}\n'),
+        (lambda s, a: s.simulate(a, 1.0),
+         b'{"id":2,"ok":true,"passed":true,"spends":[],"rejection":7}\n'),
+        (lambda s, a: s.remaining_budget("A"), b'{"id":2,"ok":true,"eps":"6"}\n'),
+        (lambda s, a: s.remaining_budget("*"), b'{"id":2,"ok":true,"remaining":[]}\n'),
+    ],
+    ids=["binop_without_handle", "unop_handle_not_a_string", "fold_meta_not_an_object",
+         "datasets", "roots", "scalar", "publish", "simulate", "eps", "remaining"],
+)
+def test_ok_answer_of_the_wrong_shape_is_transport_error(request_, answer):
+    addr, closed = _one_shot_server([AUTH_OK, answer])
+    with Session.connect(addr, "k") as s:
+        with pytest.raises(TransportError):
+            request_(s, RemoteScalar(s, "h1"))
+    assert closed.wait(5.0)
 
 
 def test_id_mismatch_is_transport_error():
-    addr = _one_shot_server([json.dumps({"id": 999, "ok": True, "user": "x", "datasets": []}).encode() + b"\n"])
+    addr, _ = _one_shot_server(
+        [json.dumps({"id": 999, "ok": True, "user": "x", "datasets": []}).encode() + b"\n"]
+    )
     with pytest.raises(TransportError):
         Session.connect(addr, "k")
 
 
 def test_closed_connection_is_transport_error():
-    addr = _one_shot_server([])
+    addr, _ = _one_shot_server([])
     with pytest.raises(TransportError):
         Session.connect(addr, "k")
 

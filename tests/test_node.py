@@ -277,6 +277,78 @@ def test_handle_isolation_between_users(tmp_path):
     node.close()
 
 
+def test_release_forgets_only_the_users_own_derived_handles(tmp_path):
+    node = make_node(tmp_path)
+    serve_csv(tmp_path, node)
+    node.add_user("u1", key="k1")
+    node.add_user("u2", key="k2")
+    s1, s2 = authed_session(node, "k1"), authed_session(node, "k2")
+    roots = [r["handle"] for r in call(node, s1, "get_roots", dataset="people")["roots"]]
+    mine = call(node, s1, "unop", kind="neg", handle=roots[0])["handle"]
+    theirs = call(node, s2, "unop", kind="neg", handle=roots[1])["handle"]
+    plain = call(node, s1, "describe", rid=7, handle=mine)
+    released = call(node, s1, "describe", rid=7, handle=mine,
+                    release=[roots[2], theirs, "h99999", mine, mine])
+    # the op ran on the handle before it was let go; the answer never shows the release
+    assert released == plain and released["ok"]
+    assert set(node.store._objects) == {*roots, theirs}
+    assert call(node, s2, "describe", handle=theirs)["ok"]
+    # an empty list is no release at all
+    assert call(node, s2, "list_datasets", release=[])["ok"]
+    assert theirs in node.store._objects
+    node.close()
+    events = read_audit(tmp_path / "state")["events"]
+    assert [e.get("released") for e in events if e["op"] == "describe"] == [None, 1, None]
+
+
+@pytest.mark.parametrize("release", ["h4", [4], ["h4", None], {"h4": 1}, None, True])
+def test_release_that_is_not_a_list_of_strings_is_a_bad_request(tmp_path, release):
+    node = make_node(tmp_path)
+    serve_csv(tmp_path, node)
+    node.add_user("u1", key="k1")
+    s = authed_session(node)
+    roots = [r["handle"] for r in call(node, s, "get_roots", dataset="people")["roots"]]
+    doomed = call(node, s, "unop", kind="neg", handle=roots[0])["handle"]
+    before = set(node.store._objects)
+    resp = call(node, s, "unop", kind="neg", handle=roots[1], release=release)
+    assert resp["error"]["code"] == "bad_request" and "release" in resp["error"]["detail"]
+    # neither the op nor any release ran
+    assert set(node.store._objects) == before and doomed in before
+    node.close()
+
+
+def test_release_applies_when_the_op_fails(tmp_path):
+    node = make_node(tmp_path)
+    serve_csv(tmp_path, node)
+    node.add_user("u1", key="k1")
+    s = authed_session(node)
+    roots = [r["handle"] for r in call(node, s, "get_roots", dataset="people")["roots"]]
+    a = call(node, s, "unop", kind="neg", handle=roots[0])["handle"]
+    b = call(node, s, "unop", kind="neg", handle=roots[1])["handle"]
+    failed = call(node, s, "describe", handle="h99999", release=[a])
+    assert failed["error"]["code"] == "unknown_handle"
+    unknown = call(node, s, "no_such_op", release=[b])
+    assert unknown["error"]["code"] == "unknown_op"
+    assert set(node.store._objects) == set(roots)
+    node.close()
+    events = read_audit(tmp_path / "state")["events"]
+    assert [(e["op"], e["ok"], e.get("code"), e.get("released")) for e in events[-2:]] == [
+        ("describe", False, "unknown_handle", 1), ("no_such_op", False, "unknown_op", 1)
+    ]
+
+
+def test_release_is_not_read_before_authentication(tmp_path):
+    node = make_node(tmp_path)
+    serve_csv(tmp_path, node)
+    node.add_user("u1", key="k1")
+    session = NodeSession(peer="test")
+    early = call(node, session, "list_datasets", release="not a list")
+    assert early["error"]["code"] == "auth_required"
+    auth = call(node, session, "auth", key="k1", release="not a list")
+    assert auth["ok"]
+    node.close()
+
+
 def test_describe_exposes_only_public_data(tmp_path):
     node = make_node(tmp_path)
     serve_csv(tmp_path, node)
@@ -468,6 +540,35 @@ def test_min_budget_tie_breaks_deterministically(tmp_path):
     s = authed_session(node)
     m = call(node, s, "remaining_budget", entity="min")
     assert m["entity"] == "aa"  # untouched budgets tie; lexicographic winner
+    node.close()
+
+
+def test_min_budget_is_the_least_remaining_and_ties_go_to_the_smallest_name(tmp_path):
+    node = make_node(tmp_path)
+    names = ["zz", "mm", "ee", "dd", "cc", "bb", "aa"]
+    serve_csv(tmp_path, node, body="entity,value,floor,ceiling\n" + "".join(
+        f"{name},1,0,2\n" for name in names))
+    node.add_user("u1", key="k1")
+    s = authed_session(node)
+    ledger = node._ledger_for("u1")
+    # zz, mm and cc exhausted to 0; dd and ee tie at one partial spend; aa and bb untouched
+    ledger.record([RdpSpend(VarId(e), 1e6, 1.0) for e in ("zz", "mm", "cc")], "p000001")
+    ledger.record([RdpSpend(VarId(e), 0.01, 1.0) for e in ("ee", "dd")], "p000002")
+    star = call(node, s, "remaining_budget", entity="*")["remaining"]
+    assert [star[e] for e in ("zz", "mm", "cc")] == [0.0, 0.0, 0.0]
+    assert 0.0 < star["dd"] == star["ee"] < star["aa"] == star["bb"] == 6.0
+    m = call(node, s, "remaining_budget", entity="min")
+    assert (m["entity"], m["eps"]) == ("cc", 0.0)
+    # without the exhausted three, the partial pair's smaller name wins
+    node.close()
+    node = make_node(tmp_path, subdir="other")
+    serve_csv(tmp_path, node, body="entity,value,floor,ceiling\n" + "".join(
+        f"{name},1,0,2\n" for name in ("ee", "dd", "bb", "aa")))
+    node.add_user("u1", key="k1")
+    s = authed_session(node)
+    node._ledger_for("u1").record([RdpSpend(VarId(e), 0.01, 1.0) for e in ("ee", "dd")], "p1")
+    m = call(node, s, "remaining_budget", entity="min")
+    assert (m["entity"], m["eps"]) == ("dd", star["dd"])
     node.close()
 
 

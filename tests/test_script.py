@@ -167,6 +167,31 @@ def test_budget_trajectory_notes_each_passed_release_step(tmp_path, live):
     assert trajectory[2]["min_remaining"] < 2.0
 
 
+def test_rebinding_a_name_releases_the_old_handle_on_the_next_step(tmp_path, live, monkeypatch):
+    from pscalar import client
+
+    sent = []
+    call = client.Session._call
+
+    def spy(self, op, **fields):
+        sent.append((op, list(self._release or [])))
+        return call(self, op, **fields)
+
+    monkeypatch.setattr(client.Session, "_call", spy)
+    path = write_script(tmp_path, [
+        json.dumps({"step": "load", "dataset": "ages", "as": "ages"}),
+        json.dumps({"step": "op", "kind": "sum", "arg": "ages", "as": "t"}),
+        json.dumps({"step": "op", "kind": "scale", "arg": "t", "c": 0.01, "as": "t"}),
+        json.dumps({"step": "budget", "entity": "min"}),
+    ])
+    report = run_script(path, live, "ka")
+    assert report.ok
+    ops = [op for op, _ in sent]
+    assert ops == ["auth", "get_roots", "fold", "unop", "remaining_budget"]
+    # the sum was let go when "t" was rebound; it went out with the budget step
+    assert [len(release) for _, release in sent] == [0, 0, 0, 0, 1]
+
+
 def test_simulation_steps_and_assert_equal(tmp_path, live):
     path = write_script(tmp_path, [
         json.dumps({"step": "load", "dataset": "ages", "as": "people"}),
