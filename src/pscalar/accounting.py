@@ -5,6 +5,8 @@ Renyi curve: one Gaussian release at noise sigma costs an entity
 ``rho = L^2 * x^2 / (2 sigma^2)`` where L is its sound Lipschitz bound and x
 its clipped input, and the curve is ``eps(alpha) = rho * alpha``.  Curves add
 across releases, so a single cumulative rho per entity suffices.
+Every budget decision compares a total with the policy's ``rho_cap``; epsilon
+is computed only for a refusal's projected epsilon and the remaining budget.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import contextlib
 import datetime
 import math
+import struct
 import sys
 import threading
 from operator import attrgetter
@@ -21,8 +24,8 @@ from .poly import VarId, _SlotsRecord, _tuple_record
 from .scalar import PrivateScalar
 from .sensitivity import lipschitz_bound
 
-# Nudges that calibrate_sigma may take past its closed form; rounding leaves
-# that form at most a few ulps short of what the filter admits.
+# Nudges that calibrate_sigma may take past its exact inverse; rounding in the
+# spends leaves that inverse at most a few ulps short of what the filter admits.
 _CALIBRATION_ULP_STEPS = 64
 
 
@@ -52,8 +55,32 @@ class RdpSpend(_SlotsRecord):
         self.entity, self.rho, self.lipschitz = entity, rho, lipschitz
 
 
-class BudgetPolicy(_tuple_record("BudgetPolicy", "eps_cap delta")):
-    """Owner-set cap: per-entity converted epsilon at a fixed delta."""
+def rdp_to_dp(rho: float, delta: float) -> float:
+    """Tightest (eps, delta) conversion of the linear curve eps(alpha) = rho*alpha.
+
+    Minimizing ``rho*alpha + ln(1/delta)/(alpha-1)`` over alpha > 1 gives the
+    closed form ``rho + 2*sqrt(rho*ln(1/delta))`` (Bun & Steinke, Prop. 1.3;
+    Mironov, Prop. 3).  A zero curve converts to eps = 0.
+    """
+    if not (0.0 < delta < 1.0):
+        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
+    if not (math.isfinite(rho) and rho >= 0.0):
+        raise ValueError(f"rho must be finite and non-negative, got {rho!r}")
+    return rho + 2.0 * math.sqrt(rho * math.log(1.0 / delta))
+
+
+def _float_from_bits(bits: int) -> float:
+    return struct.unpack("<d", bits.to_bytes(8, "little"))[0]
+
+
+class BudgetPolicy(_tuple_record("BudgetPolicy", "eps_cap delta rho_cap")):
+    """Owner-set cap: per-entity converted epsilon at a fixed delta.
+
+    ``rho_cap`` is derived, never given: the largest float total t with
+    ``rdp_to_dp(t, delta) <= eps_cap``.  Each step of the conversion (the
+    product, the correctly rounded sqrt, the sum) rounds monotonically in t,
+    so that test holds exactly when ``t <= rho_cap``.
+    """
 
     __slots__ = ()
 
@@ -62,7 +89,16 @@ class BudgetPolicy(_tuple_record("BudgetPolicy", "eps_cap delta")):
             raise ValueError(f"eps_cap must be positive, got {eps_cap!r}")
         if not (0.0 < delta < 1.0):
             raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
-        return tuple.__new__(cls, (eps_cap, delta))
+        # Bisect the bit patterns of the non-negative floats, which order as the
+        # floats do: 0.0 passes and inf is refused, so at most 63 conversions.
+        lo, hi = 0, 0x7FF0000000000000  # the bits of 0.0 and of inf
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if rdp_to_dp(_float_from_bits(mid), delta) <= eps_cap:
+                lo = mid
+            else:
+                hi = mid
+        return tuple.__new__(cls, (eps_cap, delta, _float_from_bits(lo)))
 
 
 class FilterDecision(_tuple_record("FilterDecision", "ok violations", defaults=((),))):
@@ -103,25 +139,6 @@ def spend_for_publish(scalar: PrivateScalar, sigma: float) -> list[RdpSpend]:
         x = inputs[v].clipped
         spends.append(RdpSpend(v, (slope * slope) * (x * x) / denom, slope))
     return spends
-
-
-def rdp_to_dp(rho: float, delta: float) -> float:
-    """Tightest (eps, delta) conversion of the linear curve eps(alpha) = rho*alpha.
-
-    Minimizing ``rho*alpha + ln(1/delta)/(alpha-1)`` over alpha > 1 gives the
-    closed form ``rho + 2*sqrt(rho*ln(1/delta))`` (Bun & Steinke, Prop. 1.3;
-    Mironov, Prop. 3).  A zero curve converts to eps = 0.
-    """
-    if not (0.0 < delta < 1.0):
-        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
-    return _rdp_to_dp(rho, math.log(1.0 / delta))
-
-
-def _rdp_to_dp(rho: float, log_inv_delta: float) -> float:
-    """``rdp_to_dp`` with ``ln(1/delta)`` already taken, for one delta and many rho."""
-    if not (math.isfinite(rho) and rho >= 0.0):
-        raise ValueError(f"rho must be finite and non-negative, got {rho!r}")
-    return rho + 2.0 * math.sqrt(rho * log_inv_delta)
 
 
 def _now_iso() -> str:
@@ -267,21 +284,21 @@ def filter_check(ledger: PrivacyLedger, spends: list[RdpSpend], policy: BudgetPo
     """Would recording these spends keep every affected entity under the cap?
 
     Pure check: no state is touched, so a rejected request costs nothing.
+    One compare per entity with ``policy.rho_cap``; only refusals are converted.
     """
     violations = []
-    proposed = _aggregate_by_entity(spends)
-    log_inv = math.log(1.0 / policy.delta)
-    for entity in sorted(proposed):
-        projected = _rdp_to_dp(ledger.total(entity) + proposed[entity], log_inv)
-        if projected > policy.eps_cap:
-            violations.append((entity, projected))
+    rho_cap = policy.rho_cap
+    for entity, rho in _aggregate_by_entity(spends).items():
+        projected = ledger.total(entity) + rho
+        if projected > rho_cap:
+            violations.append((entity, rdp_to_dp(projected, policy.delta)))
+    violations.sort()
     return FilterDecision(ok=not violations, violations=tuple(violations))
 
 
 def remaining_budget(ledger: PrivacyLedger, entity: str, policy: BudgetPolicy) -> float:
     """Converted epsilon still available to one entity (floored at zero)."""
-    log_inv = math.log(1.0 / policy.delta)
-    return max(0.0, policy.eps_cap - _rdp_to_dp(ledger.total(entity), log_inv))
+    return max(0.0, policy.eps_cap - rdp_to_dp(ledger.total(entity), policy.delta))
 
 
 def calibrate_sigma(
@@ -295,30 +312,24 @@ def calibrate_sigma(
     """Smallest sigma, at least lo, whose release passes the budget filter.
 
     Spends scale as 1/sigma^2, so an entity costing u at sigma = 1 with ledger
-    total t fits iff ``sigma^2 >= u / (rho_cap - t)``, where rho_cap is the
-    largest total whose conversion stays within the cap.  The largest of these
-    exact inverses is stepped up by ulps until the filter admits it.  Raises
-    CalibrationError naming the blocked entities when no sigma up to hi can
-    pass.
+    total t fits iff ``sigma^2 >= u / (policy.rho_cap - t)``, the exact cap the
+    filter enforces.  The largest of these inverses is stepped up by ulps, for
+    the rounding of the spends, until the filter admits it.  Raises
+    CalibrationError naming the blocked entities when no sigma up to hi can pass.
     """
-    unit_spends = spend_for_publish(scalar, 1.0)
-    eps, log_inv = policy.eps_cap, math.log(1.0 / policy.delta)
-    # (sqrt(eps + L) - sqrt(L))^2 without the cancellation of that form.
-    rho_cap = (eps / (math.sqrt(eps + log_inv) + math.sqrt(log_inv))) ** 2
     needed = {}
-    for entity, unit in _aggregate_by_entity(unit_spends).items():
+    for entity, unit in _aggregate_by_entity(spend_for_publish(scalar, 1.0)).items():
         if unit > 0.0:
-            headroom = rho_cap - ledger.total(entity)
+            headroom = policy.rho_cap - ledger.total(entity)
             needed[entity] = math.sqrt(unit / headroom) if headroom > 0.0 else math.inf
     blocked = sorted(e for e, s in needed.items() if s > hi)
     if not blocked:
         sigma = max([lo, *needed.values()])
-        decision = filter_check(ledger, spend_for_publish(scalar, sigma), policy)
         for _ in range(_CALIBRATION_ULP_STEPS):
+            decision = filter_check(ledger, spend_for_publish(scalar, sigma), policy)
             if decision.ok:
                 break
             sigma = math.nextafter(sigma, math.inf)
-            decision = filter_check(ledger, spend_for_publish(scalar, sigma), policy)
         # a refusal here means the steps ran out: the entities still over the cap are blocked
         blocked = [e for e, _ in decision.violations]
     if blocked:

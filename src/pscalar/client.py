@@ -192,18 +192,22 @@ class Session:
     # -- plumbing ------------------------------------------------------------
 
     def _call(self, op: str, **fields) -> dict:
-        self._next_id += 1
-        rid = self._next_id
+        rid = self._next_id + 1
         msg = {"id": rid, "op": op, **fields}
         queue = self._release
         if queue:
             msg["release"] = [queue.popleft() for _ in range(len(queue))]
+        data = None
         try:
-            self._sock.sendall(encode(msg))
+            data = encode(msg)  # a value JSON cannot carry fails here, before anything is sent
+            self._next_id = rid
+            self._sock.sendall(data)
             line = self._rfile.readline()
-        except (OSError, ValueError) as exc:
+        except (OSError, TypeError, ValueError) as exc:
             if "release" in msg:
                 queue.extend(msg["release"])  # unsent, or sent on a dead connection
+            if data is None:
+                raise ClientError(f"request cannot be encoded: {exc}") from exc
             raise TransportError(f"connection unusable: {exc}") from exc
         if not line:
             raise TransportError("connection closed by node")

@@ -118,9 +118,6 @@ class Monomial(_tuple_record("Monomial", "powers", defaults=((),))):
                 return e
         return 0
 
-    def variables(self) -> frozenset[VarId]:
-        return frozenset(v for v, _ in self.powers)
-
     def __mul__(self, other: "Monomial") -> "Monomial":
         a, b = self.powers, other.powers
         # disjoint and in order, as in each step of a left fold over roots: join
@@ -290,10 +287,7 @@ class Polynomial:
         return max((m.degree_in(v) for m in self._terms), default=0)
 
     def variables(self) -> frozenset[VarId]:
-        out: set[VarId] = set()
-        for m in self._terms:
-            out.update(m.variables())
-        return frozenset(out)
+        return frozenset(v for m in self._terms for v, _ in m.powers)
 
     def sorted_terms(self) -> list[tuple[Monomial, float]]:
         """Terms in graded-lexicographic order, highest first.
@@ -349,12 +343,11 @@ class Polynomial:
             raise PolynomialError(f"exponent must be a non-negative integer, got {k!r}")
         out = Polynomial.constant(1.0)
         base = self
-        e = k
-        while e:
-            if e & 1:
+        while k:
+            if k & 1:
                 out = out.mul(base)
-            e >>= 1
-            if e:
+            k >>= 1
+            if k:
                 base = base.mul(base)
         return out
 

@@ -175,8 +175,7 @@ class PrivateScalar:
         return self._binary(other, operator.sub)
 
     def __rsub__(self, other):
-        negated = -self
-        return negated.__add__(other)
+        return (-self).__add__(other)
 
     def __mul__(self, other):
         if isinstance(other, numbers.Real):

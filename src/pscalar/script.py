@@ -227,8 +227,7 @@ class _Runner:
         return f"publish sigma={sigma}: value {result.value:.6g} ({result.publish_id})"
 
     def step_expect_reject(self, step: dict) -> str:
-        step = dict(step, expect="reject")
-        return self.step_publish(step)
+        return self.step_publish(dict(step, expect="reject"))
 
     def step_budget(self, step: dict) -> str:
         session = self.session_for(step)
@@ -353,14 +352,12 @@ def run_script(
                     runner._note_budget(step)
             except _STEP_FAILURES as exc:
                 detail = f"line {step['_line']}: {exc}"
-                report.steps.append(StepResult(index, kind, False, detail))
                 report.ok = False
-                if echo:
-                    echo(report.steps[-1])
-                break
-            report.steps.append(StepResult(index, kind, True, detail))
+            report.steps.append(StepResult(index, kind, report.ok, detail))
             if echo:
                 echo(report.steps[-1])
+            if not report.ok:
+                break
     finally:
         report.bindings = {
             k: v for k, v in runner.bindings.items() if isinstance(v, (int, float, dict))

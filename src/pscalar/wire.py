@@ -76,17 +76,10 @@ def receipt_wire(receipt: PublishReceipt) -> dict:
 
 def scalar_summary(scalar: PrivateScalar) -> dict:
     """Shareable description of a scalar: structure and public bounds only."""
-    entities = []
-    for v in sorted(scalar.inputs):
-        rec = scalar.inputs[v]
-        entities.append(
-            {
-                "entity": v.entity,
-                "attribute": v.attribute,
-                "floor": rec.floor,
-                "ceiling": rec.ceiling,
-            }
-        )
+    entities = [
+        {"entity": v.entity, "attribute": v.attribute, "floor": rec.floor, "ceiling": rec.ceiling}
+        for v, rec in sorted(scalar.inputs.items())
+    ]
     return {
         "poly": str(scalar.poly),
         "degree": scalar.degree(),

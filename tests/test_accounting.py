@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import math
 import random
+import time
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_scalar
 from oracles import analytic_rho_for_eps, analytic_sigma, closed_form_eps, golden_eps, rho_cap
+from pscalar import accounting
 from pscalar.accounting import (
     BudgetPolicy,
     CalibrationError,
@@ -17,7 +21,6 @@ from pscalar.accounting import (
     LedgerError,
     PrivacyLedger,
     RdpSpend,
-    _rdp_to_dp,
     calibrate_sigma,
     filter_check,
     rdp_to_dp,
@@ -122,11 +125,10 @@ _DELTA_GRID = (1e-300, 1e-12, 1e-6, 1e-5, 0.01, 0.5, 0.999999)
 
 def test_conversion_with_its_log_taken_once_is_bit_identical():
     for delta in _DELTA_GRID:
-        log_inv = math.log(1.0 / delta)
         for rho in _RHO_GRID:
             # the formula rdp_to_dp has always computed, log(1/delta) inside
             want = (rho + 2.0 * math.sqrt(rho * math.log(1.0 / delta))).hex()
-            assert _rdp_to_dp(rho, log_inv).hex() == rdp_to_dp(rho, delta).hex() == want
+            assert rdp_to_dp(rho, delta).hex() == want
 
 
 def test_filter_and_remaining_budget_convert_as_rdp_to_dp():
@@ -293,6 +295,64 @@ def test_ledger_memory_does_not_grow_with_releases():
     assert grown < 200_000, grown
 
 
+# -- the policy's rho cap --------------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    eps_cap=st.floats(min_value=5e-324, max_value=1.7e308),
+    delta=st.floats(min_value=1e-300, max_value=1.0, exclude_max=True),
+    t=st.floats(min_value=0.0, max_value=1.7e308),
+)
+def test_rho_cap_decides_exactly_as_the_conversion(eps_cap, delta, t):
+    policy = BudgetPolicy(eps_cap, delta)
+    cap = policy.rho_cap
+    for total in (t, cap, math.nextafter(cap, -math.inf), math.nextafter(cap, math.inf)):
+        if 0.0 <= total < math.inf:
+            assert (total <= cap) == (rdp_to_dp(total, delta) <= eps_cap), total.hex()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    eps_cap=st.floats(min_value=1e-6, max_value=1e6),
+    delta=st.floats(min_value=1e-300, max_value=0.5),
+    shares=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=6),
+)
+def test_filter_converts_only_the_entities_it_refuses(eps_cap, delta, shares):
+    policy = BudgetPolicy(eps_cap, delta)
+    cap = policy.rho_cap
+    led = PrivacyLedger()
+    names = [f"e{i}" for i in range(len(shares))]
+    led.record([_spend(n, share * cap / 2.0) for n, share in zip(names, shares)], "p1")
+    under = [_spend(n, share * cap / 2.0) for n, share in zip(names, shares)] + [_spend("x", cap)]
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return rdp_to_dp(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(accounting, "rdp_to_dp", counted)
+        assert filter_check(led, under, policy).ok
+        assert calls == []
+        over = filter_check(led, [_spend("x", cap), _spend("x", cap * 1e-6 + 1e-300)], policy)
+    assert [e for e, _ in over.violations] == ["x"] and len(calls) == 1
+
+
+def test_policy_cap_search_is_fast_at_the_float_extremes():
+    for eps_cap, delta in ((1.7e308, 1e-300), (5e-324, 1e-6)):
+        best = math.inf
+        for _ in range(3):
+            start = time.perf_counter()
+            policy = BudgetPolicy(eps_cap, delta)
+            best = min(best, time.perf_counter() - start)
+        assert best < 0.010, (eps_cap, delta, best)
+        cap = policy.rho_cap
+        assert rdp_to_dp(cap, delta) <= eps_cap < rdp_to_dp(math.nextafter(cap, math.inf), delta)
+    # the closed form (sqrt(eps + L) - sqrt(L))^2 is about 1.7e308 here; the true cap is far lower
+    assert BudgetPolicy(1.7e308, 1e-300).rho_cap == pytest.approx(2.6024e305, rel=1e-4)
+
+
 # -- filter ----------------------------------------------------------------------------
 
 
@@ -414,6 +474,23 @@ def test_calibrate_is_tight_against_the_filter():
         sigma = calibrate_sigma(target, led, pol)
         assert filter_check(led, spend_for_publish(target, sigma), pol).ok, case
         assert not filter_check(led, spend_for_publish(target, sigma * (1 - 1e-9)), pol).ok, case
+
+
+def test_calibrate_admits_a_release_that_fits_just_under_the_cap():
+    # Prior spend 0.999x the closed-form cap: that form lies a few ulps from the cap
+    # the filter enforces, and the small headroom magnified the gap past every
+    # nudge, so this release was refused with CalibrationError(['A']).
+    eps, delta = 0.623, 1e-5
+    log_inv = math.log(1.0 / delta)
+    closed_form_cap = (eps / (math.sqrt(eps + log_inv) + math.sqrt(log_inv))) ** 2
+    pol = BudgetPolicy(eps_cap=eps, delta=delta)
+    led = PrivacyLedger()
+    led.record([_spend("A", 0.999 * closed_form_cap)], led.next_publish_id())
+    target = mk("A", 5.0, 0.0, 10.0)
+    sigma = calibrate_sigma(target, led, pol)
+    assert sigma == pytest.approx(1234.097, rel=1e-6)
+    assert filter_check(led, spend_for_publish(target, sigma), pol).ok
+    assert not filter_check(led, spend_for_publish(target, sigma * (1 - 1e-9)), pol).ok
 
 
 def test_calibrate_blocks_entities_needing_sigma_above_hi():

@@ -299,9 +299,13 @@ def test_releases_are_resent_when_a_request_cannot_be_encoded(live):
         x = a + b
         handle = x.handle
         del x
-        with pytest.raises(TransportError):
-            a.scale(float("nan"))
-        assert list(s._release) == [handle]
+        sent = s._next_id
+        # a value JSON cannot carry is the caller's error: nothing is sent and no id is spent
+        for bad in (lambda: a.scale(float("nan")), lambda: s.publish(a, float("inf"))):
+            with pytest.raises(ClientError) as err:
+                bad()
+            assert not isinstance(err.value, TransportError)
+            assert list(s._release) == [handle] and s._next_id == sent
         s.list_datasets()
         assert _derived_handles(node) == set()
 

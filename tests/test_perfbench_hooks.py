@@ -38,6 +38,7 @@ a, b = (r["handle"] for r in call("get_roots", dataset="people")["roots"])
 ab = call("binop", kind="mul", a=a, b=b)["handle"]
 assert call("simulate_publish", handle=ab, sigma=100.0)["passed"]
 call("publish", handle=ab, sigma=100.0)
+call("remaining_budget", entity="A")
 node.close()
 stats = dict.fromkeys(("journal_bytes", "audit_bytes", "handles_live", "store_terms"), 0)
 doc = {"spans": rec.spans, "counts": rec.counts, "stats": stats}
@@ -53,5 +54,6 @@ def test_tracer_hooks_reach_every_layer(tmp_path):
     assert proc.returncode == 0, proc.stderr
     metrics = json.loads(proc.stdout.strip().splitlines()[-1])
     for name in ("sensitivity.bound_calls", "accounting.record_s", "accounting.fork_s",
-                 "accounting.replay_s", "mechanism.publish_s", "node.audit_s", "node.ingest_s"):
+                 "accounting.replay_s", "accounting.rdp_to_dp_calls", "mechanism.publish_s",
+                 "node.audit_s", "node.ingest_s"):
         assert metrics[name] > 0, name
