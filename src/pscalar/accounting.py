@@ -62,8 +62,8 @@ def rdp_to_dp(rho: float, delta: float) -> float:
     closed form ``rho + 2*sqrt(rho*ln(1/delta))`` (Bun & Steinke, Prop. 1.3;
     Mironov, Prop. 3).  A zero curve converts to eps = 0.
     """
-    if not (0.0 < delta < 1.0):
-        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
+    if not (0.0 < delta < 1.0 and 1.0 / delta < math.inf):
+        raise ValueError(f"delta must lie in (0, 1) and have a finite inverse, got {delta!r}")
     if not (math.isfinite(rho) and rho >= 0.0):
         raise ValueError(f"rho must be finite and non-negative, got {rho!r}")
     return rho + 2.0 * math.sqrt(rho * math.log(1.0 / delta))
@@ -87,8 +87,7 @@ class BudgetPolicy(_tuple_record("BudgetPolicy", "eps_cap delta rho_cap")):
     def __new__(cls, eps_cap: float, delta: float):
         if not (math.isfinite(eps_cap) and eps_cap > 0):
             raise ValueError(f"eps_cap must be positive, got {eps_cap!r}")
-        if not (0.0 < delta < 1.0):
-            raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
+        rdp_to_dp(0.0, delta)  # refuses a delta out of range or with an infinite inverse
         # Bisect the bit patterns of the non-negative floats, which order as the
         # floats do: 0.0 passes and inf is refused, so at most 63 conversions.
         lo, hi = 0, 0x7FF0000000000000  # the bits of 0.0 and of inf

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from operator import itemgetter
 from typing import Iterator, Mapping
 
 #: Most terms a product may hold before it is refused.
 TERM_LIMIT = 100_000
+
+_exponent = itemgetter(1)  # of a (variable, exponent) pair
 
 
 class PolynomialError(ValueError):
@@ -110,7 +113,7 @@ class Monomial(_tuple_record("Monomial", "powers", defaults=((),))):
 
     @property
     def degree(self) -> int:
-        return sum(e for _, e in self.powers)
+        return sum(map(_exponent, self.powers))
 
     def degree_in(self, v: VarId) -> int:
         for var, e in self.powers:
@@ -130,24 +133,12 @@ class Monomial(_tuple_record("Monomial", "powers", defaults=((),))):
             merged[v] = merged.get(v, 0) + e
         return Monomial(tuple(sorted(merged.items())))
 
-    def without_one(self, v: VarId) -> "Monomial":
-        """This monomial with one power of v removed (differentiation step)."""
-        out = []
-        for var, e in self.powers:
-            if var == v:
-                if e > 1:
-                    out.append((var, e - 1))
-            else:
-                out.append((var, e))
-        return Monomial(tuple(out))
-
     def __str__(self) -> str:
         if not self.powers:
             return "1"
-        parts = []
-        for v, e in self.powers:
-            parts.append(f"x[{v.label()}]" if e == 1 else f"x[{v.label()}]^{e}")
-        return "*".join(parts)
+        return "*".join(
+            [f"x[{v.label()}]" if e == 1 else f"x[{v.label()}]^{e}" for v, e in self.powers]
+        )
 
 
 _UNIT = Monomial()
@@ -218,6 +209,12 @@ def _merge_terms(out: dict[Monomial, float], p: "Polynomial", degree: int | None
     if degree is None:
         return None
     return max(degree, p.degree() if p._degree is None else p._degree)
+
+
+def _grlex_key(m: Monomial) -> tuple:
+    # plain tuples of str and int, which the collector stops tracking, so a
+    # sort of many terms does not make it walk the whole heap
+    return (-sum(map(_exponent, m.powers)), tuple([(*v, -e) for v, e in m.powers]))
 
 
 class Polynomial:
@@ -296,12 +293,8 @@ class Polynomial:
         exponent vector would, since variables order as their ranks do: of
         equal degree, no key is a prefix of another.
         """
-
-        def key(item):
-            m, _ = item
-            return (-m.degree, [(v, -e) for v, e in m.powers])
-
-        return sorted(self._terms.items(), key=key)
+        terms = self._terms
+        return [(m, terms[m]) for m in sorted(terms, key=_grlex_key)]
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -377,13 +370,13 @@ class Polynomial:
         return total
 
     def partial(self, v: VarId) -> "Polynomial":
-        """Formal partial derivative with respect to v."""
+        """Formal partial derivative with respect to v: each term loses one power of v."""
         out: dict[Monomial, float] = {}
         for m, c in self._terms.items():
             e = m.degree_in(v)
             if e == 0:
                 continue
-            dm = m.without_one(v)
+            dm = Monomial(tuple((u, k - (u == v)) for u, k in m.powers if u != v or k > 1))
             try:
                 out[dm] = out.get(dm, 0.0) + c * e
             except OverflowError:
@@ -420,7 +413,8 @@ class Polynomial:
         if not self._terms:
             return "0"
         chunks: list[str] = []
-        for m, c in self.sorted_terms():
+        for m in sorted(self._terms, key=_grlex_key):
+            c = self._terms[m]
             mag = abs(c)
             if not m.powers:
                 body = f"{mag:g}"
@@ -428,11 +422,9 @@ class Polynomial:
                 body = str(m)
             else:
                 body = f"{mag:g}*{m}"
-            if not chunks:
-                chunks.append(f"-{body}" if c < 0 else body)
-            else:
-                chunks.append(f"- {body}" if c < 0 else f"+ {body}")
-        return " ".join(chunks)
+            chunks.append(f"- {body}" if c < 0 else f"+ {body}")
+        text = " ".join(chunks)  # the leading sign has no space, and no "+"
+        return text[2:] if text[0] == "+" else "-" + text[2:]
 
     def __repr__(self) -> str:
         return f"Polynomial({self})"

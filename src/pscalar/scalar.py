@@ -83,9 +83,10 @@ class PrivateScalar:
 
     Instances are immutable by convention: operations return new scalars.
     Two caches rely on that, and both hold public data only: ``sensitivity``
-    keeps the facts every entity's slope bound shares in ``_bound_facts``, and
-    ``accounting.spend_for_publish`` keeps the sorted ``(VarId, removal slope)``
-    pairs in ``_slopes``, so each query is bounded once whatever its sigma.
+    keeps every entity's slope bounds (or a degree <= 1 coefficient map) in
+    ``_bound_facts``, and ``accounting.spend_for_publish`` keeps the sorted
+    ``(VarId, removal slope)`` pairs in ``_slopes``, so each query is bounded
+    once whatever its sigma.
     """
 
     __slots__ = ("poly", "inputs", "_bound_facts", "_slopes")

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 
-from .poly import Interval, NonFiniteError, Polynomial, VarId, _tuple_record
+from .poly import Interval, NonFiniteError, VarId, _require_finite, _tuple_record
 from .scalar import PrivateScalar, UnknownEntityError
 
 FIRST_DEGREE = "first_degree"
@@ -43,53 +43,101 @@ def lipschitz_bound(
     - interval_sound: interval evaluation of the slope; sound but not exact.
 
     ``include_origin`` widens the entity's own coordinate range to include
-    the removal replacement value 0.
-
-    The facts all entities share are kept with the scalar (``_shared_facts``),
-    so a call costs O(entity's terms x degree), plus 2^k corners on vertex_exact.
+    the removal replacement value 0.  The first call bounds every entity at
+    once (``_sweep``) and keeps the bounds with the scalar; a degree <= 1
+    scalar keeps only its coefficient map.
     """
     if entity not in scalar.inputs:
         raise UnknownEntityError(f"entity {entity.label()} does not contribute to this scalar")
-    facts = _shared_facts(scalar)
-    if facts[0] <= 1:
-        return LipschitzBound(entity, abs(facts[1].get(entity, 0.0)), FIRST_DEGREE, True)
-    _, own_terms, box, monotone = facts
-    d = Polynomial._canonical(dict(own_terms.get(entity, ()))).partial(entity)
-    dbox = {v: box[v] for v in d.variables()}
-    if include_origin and entity in dbox:
-        dbox[entity] = dbox[entity].hull_with(0.0)
-    if monotone:
-        ceilings = {v: iv.hi for v, iv in dbox.items()}
-        return LipschitzBound(entity, d.evaluate(ceilings), MONOTONE_CEILING, True)
-    dvars = sorted(dbox)
-    if len(dvars) <= VERTEX_CAP and all(e == 1 for m, _ in d.items() for _, e in m.powers):
-        return LipschitzBound(entity, _corner_max_abs(d, dvars, dbox), VERTEX_EXACT, True)
-    return LipschitzBound(entity, d.range_over(dbox).abs_max(), INTERVAL_SOUND, False)
-
-
-def _shared_facts(scalar: PrivateScalar) -> tuple:
-    """(degree, variable -> its terms in term order, unhulled box, monotone flag), once.
-
-    Degree <= 1 keeps (degree, variable -> coefficient, None, None) instead.
-    """
     if scalar._bound_facts is None:
-        poly, degree = scalar.poly, scalar.poly.degree()
-        if degree <= 1:
+        poly, coeffs = scalar.poly, None
+        if poly.degree() <= 1:
             coeffs = {m.powers[0][0]: c for m, c in poly.items() if m.powers}
-            scalar._bound_facts = (degree, coeffs, None, None)
-            return scalar._bound_facts
-        own_terms = {}
-        for term in poly.items():
-            for v, _ in term[0].powers:
-                own_terms.setdefault(v, []).append(term)
-        box = scalar.box()
-        monotone = all(c >= 0 for _, c in poly.items()) and all(box[v].lo >= 0 for v in own_terms)
-        scalar._bound_facts = (degree, own_terms, box, monotone)
-    return scalar._bound_facts
+        scalar._bound_facts = (coeffs, {})
+    coeffs, swept = scalar._bound_facts
+    if coeffs is not None:
+        return LipschitzBound(entity, abs(coeffs.get(entity, 0.0)), FIRST_DEGREE, True)
+    if include_origin not in swept:
+        swept[include_origin] = _sweep(scalar, include_origin)
+    res = swept[include_origin][entity]
+    if isinstance(res, str):
+        raise NonFiniteError(res)
+    return res
 
 
-def _corner_max_abs(d: Polynomial, dvars: list[VarId], box: dict[VarId, Interval]) -> float:
-    """Largest |d| over the 2^k corners of the box, for d multilinear in dvars.
+def _sweep(scalar: PrivateScalar, include_origin: bool) -> dict:
+    """Every entity's bound, or the message of the NonFiniteError it raises, in one pass."""
+    poly, box = scalar.poly, scalar.box()
+    # variable -> powers, its index there, coefficient, ... for each of its terms
+    # in term order; flat, as a tuple per (term, variable) pair costs memory
+    own_terms = {}
+    for m, c in poly.items():
+        for i, (v, _) in enumerate(m.powers):
+            own_terms.setdefault(v, []).extend((m.powers, i, c))
+    monotone = all(c >= 0 for _, c in poly.items()) and all(box[v].lo >= 0 for v in own_terms)
+    bounds = {}
+    for v in scalar.inputs:
+        iv = box[v]
+        # hull the entity's own range while it is bounded (iv itself if it holds 0)
+        if include_origin and not iv.lo <= 0.0 <= iv.hi:
+            box[v] = iv.hull_with(0.0)
+        try:
+            bounds[v] = _bound_slope(v, own_terms.get(v, ()), box, monotone)
+        except NonFiniteError as exc:
+            bounds[v] = str(exc)
+        box[v] = iv
+    return bounds
+
+
+def _bound_slope(v: VarId, own_terms, box: dict[VarId, Interval], monotone: bool) -> LipschitzBound:
+    """One entity's bound, each float step as its own partial's route would take it."""
+    # distinct monomials have distinct partials in v: one slope term per own
+    # term, c*e times the powers left, in term order
+    slope, flat = [], iter(own_terms)
+    for powers, i, c in zip(flat, flat, flat):
+        e = powers[i][1]
+        try:
+            c *= e
+        except OverflowError:
+            c = math.inf
+        if not math.isfinite(c):
+            raise NonFiniteError(f"the slope coefficient of {v.label()} overflows a float")
+        rest = powers[:i] if e == 1 else powers[:i] + ((v, e - 1),)
+        slope.append((rest + powers[i + 1 :], c))
+    if monotone:  # as Polynomial.evaluate sums the slope at the ceilings
+        total = 0.0
+        try:
+            for rest, c in slope:
+                for u, k in rest:
+                    c *= box[u].hi ** k
+                total += c
+        except OverflowError:
+            total = math.inf
+        total = _require_finite(total, "the slope at the ceilings")
+        return LipschitzBound(v, total, MONOTONE_CEILING, True)
+    live = {p for rest, _ in slope for p in rest}  # (variable, exponent) pairs
+    if len(live) <= VERTEX_CAP and all(k == 1 for _, k in live):
+        dvars = sorted(u for u, _ in live)
+        return LipschitzBound(v, _corner_max_abs(slope, dvars, box), VERTEX_EXACT, True)
+    # as Polynomial.range_over: each term is its coefficient times
+    # Interval.power of each remaining variable, each product the min and max of four
+    lo = hi = 0.0
+    for rest, c in slope:
+        tlo = thi = c
+        for u, k in rest:
+            plo, phi = box[u] if k == 1 else box[u].power(k)
+            products = (tlo * plo, tlo * phi, thi * plo, thi * phi)
+            tlo, thi = min(products), max(products)
+            if not (-math.inf < tlo and thi < math.inf):
+                raise NonFiniteError("the slope's range overflows a float")
+        lo += tlo
+        hi += thi
+    bound = _require_finite(max(abs(lo), abs(hi)), "the slope's range")
+    return LipschitzBound(v, bound, INTERVAL_SOUND, False)
+
+
+def _corner_max_abs(terms, dvars: list[VarId], box: dict[VarId, Interval]) -> float:
+    """Largest |d| over the box's 2^k corners, for d's (powers, c) pairs multilinear in dvars.
 
     Bit i of a monomial's mask stands for dvars[i].  The first p of dvars are
     the shortest prefix after which every monomial has at most one variable
@@ -106,9 +154,9 @@ def _corner_max_abs(d: Polynomial, dvars: list[VarId], box: dict[VarId, Interval
     """
     bit = {v: 1 << i for i, v in enumerate(dvars)}
     coeffs, head = {}, 0  # head: the bits of variables not last in their monomial
-    for m, c in d.items():
+    for powers, c in terms:
         mask = last = 0
-        for v, _ in m.powers:
+        for v, _ in powers:
             last = bit[v]
             mask |= last
         coeffs[mask] = c

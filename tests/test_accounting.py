@@ -162,6 +162,19 @@ def test_policy_validation():
         BudgetPolicy(eps_cap=1.0, delta=1.5)
 
 
+@pytest.mark.parametrize("delta", [1e-310, 5e-324])
+def test_a_delta_whose_inverse_overflows_is_refused(delta):
+    # 1/delta overflows below about 5.6e-309: the conversion read nan and the
+    # policy's cap 0.0, so every remaining budget read 0.0
+    assert math.isinf(1.0 / delta)
+    with pytest.raises(ValueError, match="finite inverse"):
+        rdp_to_dp(0.0, delta)
+    with pytest.raises(ValueError, match="finite inverse"):
+        BudgetPolicy(2.0, delta)
+    # the smallest normal delta still converts
+    assert 0.0 < BudgetPolicy(2.0, 2.2250738585072014e-308).rho_cap < 2.0
+
+
 # -- ledger ----------------------------------------------------------------------------
 
 

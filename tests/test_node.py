@@ -16,6 +16,7 @@ import time
 import pytest
 
 from oracles import rho_cap
+from pscalar import cli
 from pscalar.cli import node_main
 from pscalar.node import (
     AUDIT_FILE,
@@ -675,6 +676,20 @@ def test_overflowing_corner_slope_is_a_bad_request(tmp_path):
     assert resp["error"]["code"] == "bad_request", resp
     assert s.sim.snapshot_bytes() == sim_before
     node.close()
+
+
+def test_serve_refuses_a_delta_whose_inverse_overflows(tmp_path, capsys, monkeypatch):
+    # 1/1e-310 overflows a float; the node must refuse to start, not serve a cap of 0
+    def no_server(*args, **kwargs):
+        raise AssertionError("the node started serving")
+
+    monkeypatch.setattr(cli, "NodeTCPServer", no_server)
+    csv = good_csv(tmp_path, "entity,value,floor,ceiling\nA,3,0,10\n", "people.csv")
+    argv = ["serve", "--data", str(csv), "--port", "0", "--eps", "2", "--delta", "1e-310"]
+    assert node_main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
 
 
 def test_publish_after_close_is_refused_and_not_journaled(tmp_path):

@@ -57,3 +57,7 @@ def test_tracer_hooks_reach_every_layer(tmp_path):
                  "accounting.replay_s", "accounting.rdp_to_dp_calls", "mechanism.publish_s",
                  "node.audit_s", "node.ingest_s"):
         assert metrics[name] > 0, name
+    # one traced bound per entity, although one sweep bounds both, and the
+    # release reads the slopes its rehearsal kept
+    assert metrics["sensitivity.bound_calls"] == 2
+    assert metrics["sensitivity.route.vertex_exact"] == 2

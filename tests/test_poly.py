@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 from operator import attrgetter
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import corner_max_abs, eval_terms, grid_max_abs
-from conftest import to_terms
+from conftest import random_scalar, to_terms
 from pscalar import poly
 from pscalar.poly import (
     Interval,
@@ -22,6 +23,7 @@ from pscalar.poly import (
     TermLimitError,
     VarId,
 )
+from pscalar.scalar import PrivateScalar
 
 A, B, C = VarId("A"), VarId("B"), VarId("C")
 xA, xB, xC = (Polynomial.variable(v) for v in (A, B, C))
@@ -112,6 +114,29 @@ def test_sorted_terms_match_the_dense_exponent_order(terms):
     p = Polynomial({Monomial(powers): c for powers, c in terms.items()})
     want = sorted(p.items(), key=_dense_graded_lex_key(p.variables()))
     assert p.sorted_terms() == want
+
+
+def test_text_of_random_polynomials_is_pinned():
+    # 300 random scalars with attributes, unit and huge coefficients, leading
+    # minus signs and the zero polynomial; the digest was taken before the
+    # text and its term order were sped up
+    texts = []
+    for seed in range(300):
+        rnd = random.Random(seed)
+        s = random_scalar(rnd, max_vars=5, max_terms=10, allow_negative_floor=seed % 2 == 0)
+        if seed % 3 == 0:
+            kg = PrivateScalar.make_private("e1", 1.0, 0.0, 2.0, attribute="kg")
+            s = s * kg.shift(rnd.choice([-1.0, 1.0, 1e-7, 2.5e12]))
+        if seed % 5 == 0:
+            s = -s
+        if seed % 7 == 0:
+            a = PrivateScalar.make_private("a0", 1.0, -1.0, 1.0)
+            s = s + a - a ** 2 if seed % 2 else a ** 3 - s
+        if seed % 100 == 0:
+            s = s - s
+        texts.append(str(s.poly))
+    digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
+    assert digest == "cce8dc510bd6bafc4d05b577d1dad172578146403e903afbe3f404b18f4f9b27"
 
 
 # -- validation -----------------------------------------------------------------------

@@ -9,14 +9,14 @@ import sys
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import corner_fold_max_abs, corner_max_abs, diff_terms, eval_terms, grid_max_abs
 from conftest import random_scalar, to_box, to_terms
 from pscalar.accounting import spend_for_publish
 from pscalar.poly import Interval, Monomial, NonFiniteError, Polynomial, VarId
-from pscalar.scalar import PrivateScalar, UnknownEntityError, sum_scalars
+from pscalar.scalar import EntityInput, PrivateScalar, UnknownEntityError, sum_scalars
 from pscalar.sensitivity import (
     FIRST_DEGREE,
     INTERVAL_SOUND,
@@ -312,6 +312,101 @@ def test_bounds_are_bit_identical_to_the_per_entity_recomputation():
     assert digest == "47024d2fd2b8012fea90e91761a1249f1763b268c5512a6dce4a35023a7a8747"
 
 
+def _reference_bound(scalar, entity, include_origin):
+    """(bound, strategy, exact) as one entity's own partial gives them, route by route.
+
+    Raises NonFiniteError where the partial or its route overflows a float.
+    """
+    poly, box = scalar.poly, scalar.box()
+    d = poly.partial(entity)
+    if poly.degree() <= 1:
+        return abs(d.evaluate({})), FIRST_DEGREE, True
+    dbox = {v: box[v] for v in d.variables()}
+    if include_origin and entity in dbox:
+        dbox[entity] = dbox[entity].hull_with(0.0)
+    if all(c >= 0 for _, c in poly.items()) and all(box[v].lo >= 0 for v in poly.variables()):
+        return d.evaluate({v: iv.hi for v, iv in dbox.items()}), MONOTONE_CEILING, True
+    dvars = sorted(dbox)
+    if len(dvars) <= VERTEX_CAP and all(e == 1 for m, _ in d.items() for _, e in m.powers):
+        sup = corner_fold_max_abs(
+            [(c, {v.label(): 1 for v, _ in m.powers}) for m, c in d.items()],
+            [v.label() for v in dvars],
+            {v.label(): (iv.lo, iv.hi) for v, iv in dbox.items()},
+        )
+        if not math.isfinite(sup):
+            raise NonFiniteError("a corner value overflows a float")
+        return sup, VERTEX_EXACT, True
+    return d.range_over(dbox).abs_max(), INTERVAL_SOUND, False
+
+
+@st.composite
+def _sweep_scalars(draw):
+    """A scalar over up to three entities, some with two attributes.
+
+    ``monotone`` draws non-negative coefficients and floors.  A ``wild`` one
+    may draw exponents, coefficients and box ends that overflow a float.  An
+    input that no term uses stands for an entity that cancelled out.
+    """
+    monotone, wild = draw(st.booleans()), draw(st.integers(0, 3)) == 0
+    names = draw(
+        st.lists(
+            st.tuples(st.sampled_from(["e0", "e1", "e2"]), st.sampled_from(["", "kg"])),
+            min_size=1, max_size=5, unique=True,
+        )
+    )
+    small = st.one_of(st.floats(-6.0, 3.0), st.integers(-2, 2).map(float))
+    big = st.sampled_from([1e10, 1e150, 1e200])
+    inputs = {}
+    for name in names:
+        lo = draw(st.one_of(small, big.map(lambda x: -x)) if wild else small)
+        lo = abs(lo) if monotone else lo
+        width = st.one_of(st.just(0.0), st.floats(0.0, 6.0))
+        hi = lo + draw(st.one_of(width, big) if wild else width)
+        inputs[VarId(*name)] = EntityInput(0.5, lo, hi)
+    variables = sorted(inputs)
+    exponent = st.sampled_from([1, 1, 1, 2, 3] + ([10**6, 10**400] if wild else []))
+    coefficient = st.one_of(
+        st.floats(-4.0, 4.0), st.integers(-3, 3).map(float), st.sampled_from([1e300, -1e300])
+    ) if wild else st.one_of(st.floats(-4.0, 4.0), st.integers(-3, 3).map(float))
+    terms = {}
+    for _ in range(draw(st.integers(1, 8))):
+        chosen = draw(st.lists(st.sampled_from(variables), max_size=len(variables), unique=True))
+        m = Monomial.of({v: draw(exponent) for v in chosen})
+        c = draw(coefficient.filter(lambda c: c != 0.0))
+        terms[m] = abs(c) if monotone else c
+    used = Polynomial(terms).variables()
+    unused = [v for v in variables if v not in used]
+    keep = draw(st.lists(st.sampled_from(unused), unique=True)) if unused else []
+    kept = {v: inputs[v] for v in variables if v in used or v in keep}
+    return PrivateScalar(Polynomial(terms), kept)
+
+
+def _overflow_then_zero_width():
+    # the slope in A, 1e300*B^2*C, overflows at B on the interval route; C's
+    # zero-width box must not turn that inf into a nan that min and max drop
+    a, b, c = mk("A", 1.0, -1.0, 1.0), mk("B", 1.0, -1e10, 1e10), mk("C", 0.0, 0.0, 0.0)
+    return (a * b ** 2 * c).scale(1e300)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sweep_scalars(), st.booleans())
+@example(_overflow_then_zero_width(), False)
+def test_swept_bounds_match_each_entitys_own_partial(scalar, first_origin):
+    # the sweep bounds every entity of a scalar at once and keeps the results;
+    # each must equal, bit for bit, what that entity's own partial gives, and
+    # one entity's overflow must not touch another's bound
+    for origin in (first_origin, not first_origin):
+        for entity in sorted(scalar.inputs):
+            try:
+                want = _reference_bound(scalar, entity, origin)
+            except NonFiniteError:
+                with pytest.raises(NonFiniteError):
+                    lipschitz_bound(scalar, entity, include_origin=origin)
+                continue
+            res = lipschitz_bound(scalar, entity, include_origin=origin)
+            assert (res.bound.hex(), res.strategy, res.exact) == (want[0].hex(), *want[1:])
+
+
 def _mixed_floors():
     # (A+B)^2 + C^3 - 20*C*D: A and D have negative floors, B and C positive
     # ones, so hulling B's or C's own box through 0 moves the bound
@@ -396,8 +491,8 @@ def test_first_degree_bounds_read_one_coefficient_map(monkeypatch):
 
 def test_multilinear_guard_takes_one_pass_over_the_slope(monkeypatch):
     # prod(x_j + 1) over 8 entities with negative floors: every slope is
-    # multilinear, and telling so needs no per-variable degree scan, so only
-    # Polynomial.partial asks a monomial for its degree in one variable
+    # multilinear, and the sweep reads each term's exponents as it forms the
+    # slope, so no monomial is asked for its degree in one variable
     roots = [mk(f"p{j}", 0.5, -1.0 - j, 2.0) for j in range(8)]
     query = roots[0] + 1.0
     for r in roots[1:]:
@@ -413,7 +508,7 @@ def test_multilinear_guard_takes_one_pass_over_the_slope(monkeypatch):
     for origin in (False, True):
         for v in sorted(query.inputs):
             assert lipschitz_bound(query, v, include_origin=origin).strategy == VERTEX_EXACT
-    assert set(callers) == {"partial"}
+    assert callers == []
 
 
 # -- the corner scan against the numpy fold it replaced --------------------------------
@@ -461,11 +556,12 @@ def test_corner_scan_is_bit_identical_to_the_numpy_fold(slope):
         [v.label() for v in dvars],
         {v.label(): (iv.lo, iv.hi) for v, iv in box.items()},
     )
+    terms = [(m.powers, c) for m, c in d.items()]
     if not math.isfinite(want):
         with pytest.raises(NonFiniteError):
-            _corner_max_abs(d, dvars, box)
+            _corner_max_abs(terms, dvars, box)
     else:
-        assert _corner_max_abs(d, dvars, box).hex() == want.hex()
+        assert _corner_max_abs(terms, dvars, box).hex() == want.hex()
 
 
 def test_square_of_sum_at_the_cap_bounds_every_entity_in_linear_time():
