@@ -139,7 +139,9 @@ class PrivateScalar:
 
     def box(self) -> dict[VarId, Interval]:
         """Public box: every entity variable's [floor, ceiling] interval."""
-        return {v: rec.interval for v, rec in self.inputs.items()}
+        # EntityInput checked these bounds when it was made
+        new = tuple.__new__
+        return {v: new(Interval, (rec.floor, rec.ceiling)) for v, rec in self.inputs.items()}
 
     def clipped_assignment(self) -> dict[VarId, float]:
         return {v: rec.clipped for v, rec in self.inputs.items()}

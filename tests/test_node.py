@@ -26,6 +26,7 @@ from pscalar.node import (
     Node,
     NodeConfig,
     NodeSession,
+    NodeTCPServer,
     load_users_file,
     read_audit,
     read_dataset_csv,
@@ -1013,6 +1014,31 @@ def test_tcp_reset_mid_request_ends_the_session_quietly(tmp_path):
             g.close()
     finally:
         server.shutdown()
+        server.server_close()
+        node.close()
+
+
+def test_shutdown_wakes_the_serve_loop_at_once(tmp_path):
+    node = make_node(tmp_path)
+    server = NodeTCPServer(node)
+    # a poll this long would hold a shutdown that only waits for the next poll
+    serving = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 60}, daemon=True
+    )
+    stopping = threading.Thread(target=server.shutdown, daemon=True)
+    try:
+        serving.start()
+        with socket.create_connection(server.address, timeout=5) as sock:
+            f = sock.makefile("rwb")
+            f.write(b'{"id":1,"op":"list_datasets"}\n')
+            f.flush()
+            assert json.loads(f.readline())["error"]["code"] == "auth_required"
+            f.close()
+        stopping.start()
+        stopping.join(10)
+        serving.join(10)
+        assert not stopping.is_alive() and not serving.is_alive()
+    finally:
         server.server_close()
         node.close()
 

@@ -1,16 +1,22 @@
-"""Wire bytes pinned by digest, and the leak scan checked against its oracle."""
+"""Wire bytes pinned by digest, the leak scan checked against its oracle, and the codec
+checked against json.loads and json.dumps."""
 
 from __future__ import annotations
 
+import codecs
 import hashlib
+import json
 import re
+import sys
+import threading
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import leak_scan
 from pscalar.node import AUDIT_FILE, Node, NodeConfig, NodeSession
-from pscalar.wire import WireLeakError, assert_no_private_leakage, encode
+from pscalar.wire import WireLeakError, assert_no_private_leakage, decode, encode, json_line
 
 # -- golden bytes ---------------------------------------------------------------------------
 
@@ -146,3 +152,177 @@ def _verdict(payload):
 @example({"a": [1, {"floor": 0, "ceiling": 1, "value": 2}], "b": ({"raw_value": 3},)})
 def test_leak_scan_agrees_with_its_recursive_oracle(payload):
     assert _verdict(payload) == leak_scan(payload)
+
+
+def test_leak_scan_stops_on_a_cycle():
+    loop = []
+    loop.append({"a": loop})
+    with pytest.raises(RecursionError):
+        assert_no_private_leakage({"id": 1, "ok": True, "x": loop})
+
+
+# -- the codec against json.loads and json.dumps ------------------------------------------------
+
+# any text, lone surrogates included
+TEXT = st.text(st.characters(exclude_categories=()), max_size=6)
+FLOATS = st.floats()  # NaN and the infinities too
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), FLOATS, TEXT),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.dictionaries(TEXT, inner, max_size=4)
+    ),
+    max_leaves=12,
+)
+
+
+def _outcome(fn, arg):
+    """("ok", repr of the result) or the exception's class and text.
+
+    The repr tells NaN, -0.0, 1 and 1.0 apart, and keeps key order.
+    """
+    try:
+        return "ok", repr(fn(arg))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _loads_object(line):
+    msg = json.loads(line)
+    if not isinstance(msg, dict):
+        raise ValueError("protocol messages must be JSON objects")
+    return msg
+
+
+@st.composite
+def _lines(draw):
+    """Byte lines around a JSON text: BOMs, padding, garbage and other encodings."""
+    value = draw(st.one_of(st.dictionaries(TEXT, JSON_VALUES, max_size=4), JSON_VALUES))
+    separators = draw(st.sampled_from([(",", ":"), (", ", ": ")]))
+    text = json.dumps(value, ensure_ascii=draw(st.booleans()), separators=separators)
+    pad = st.text(alphabet=" \t\n\r\x0b\x0c\xa0", max_size=3)
+    text = draw(pad) + text + draw(pad) + draw(st.sampled_from(["", "\n", " x", "{}", "]", "\x00"]))
+    encoding = draw(st.sampled_from(
+        ["utf-8", "utf-8", "utf-8", "utf-8-sig", "utf-16", "utf-16-le", "utf-16-be", "utf-32",
+         "utf-32-le", "utf-32-be"]
+    ))
+    line = text.encode(encoding, "surrogatepass")
+    if draw(st.booleans()):  # cut the line, or splice in raw bytes
+        cut = draw(st.integers(0, len(line)))
+        line = line[:cut] + draw(st.binary(max_size=3)) + line[cut + draw(st.integers(0, 2)):]
+    return line
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lines())
+@example(b'{"id":1,"op":"x"}\n')
+@example(codecs.BOM_UTF8 + b'{"id":1}\n')
+@example(b' {"id":1}\n')
+@example(b'{"id":1} \t\r\n')
+@example(b'{"id":1}\n\x0b')
+@example(b'{"id":1}{"id":2}\n')
+@example(b'{"a":NaN,"b":-Infinity,"c":Infinity}\n')
+@example(b'{"a":"\xed\xa0\x80"}\n')  # a lone surrogate, as surrogatepass writes it
+@example(b'{"a":"\\ud800"}\n')
+@example(b'{"a":"\xff"}\n')
+@example(b'{\x00"\x00a\x00"\x00:\x001\x00}\x00')  # UTF-16-LE without a BOM
+@example('{"a":1}'.encode("utf-32-le"))
+@example(b'{\x00}')
+@example(b'{"a":')
+@example(b'{"a":[1,')
+@example(b'{')
+@example(b'[{"a":1}]')
+@example(b"1")
+@example(b"")
+def test_decode_agrees_with_json_loads(line):
+    assert _outcome(decode, line) == _outcome(_loads_object, line)
+
+
+@pytest.mark.parametrize(
+    "line", ['{"id":1}\n', '\ufeff{"id":1}', ' {"id":1}', '{"id":1} x', "[1]", "{\x00}"]
+)
+def test_decode_of_text_agrees_with_json_loads(line):
+    assert _outcome(decode, line) == _outcome(_loads_object, line)
+
+
+def _dumps_line(msg):
+    return json.dumps(msg, separators=(",", ":"), allow_nan=False) + "\n"
+
+
+class Opaque:
+    pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.dictionaries(
+        st.one_of(TEXT, st.integers(), st.floats(), st.booleans(), st.none()),
+        st.one_of(JSON_VALUES, st.just(Opaque()), st.just({1, 2}), st.just(b"x")),
+        max_size=4,
+    )
+)
+@example({"op": "d\u00e9j\u00e0 \u2603", "s": "\ud83d\ude00 \udc80", "n": 10**40, "f": -0.0})
+@example({"a": [1.5, {"b": float("nan")}]})
+@example({"a": float("-inf")})
+@example({"a": Opaque()})
+@example({(1, 2): 1})
+@example({"x": [1, {"y": (2, 3)}]})
+def test_encode_agrees_with_json_dumps(msg):
+    expected = _outcome(_dumps_line, msg)
+    assert _outcome(json_line, msg) == expected
+    if expected[0] == "ok":
+        assert encode(msg) == json_line(msg).encode("ascii") == _dumps_line(msg).encode("utf-8")
+    else:
+        assert _outcome(encode, msg) == expected
+
+
+def test_encode_refuses_a_cycle_as_json_dumps_does():
+    loop = {"id": 1}
+    loop["self"] = [loop]
+    expected = _outcome(_dumps_line, loop)
+    assert expected == (ValueError, "Circular reference detected")
+    assert _outcome(encode, loop) == _outcome(json_line, loop) == expected
+
+
+def test_a_refused_message_leaves_no_marker_behind():
+    shared = {"v": float("nan")}
+    msg = {"id": 1, "a": [shared], "b": shared}
+    with pytest.raises(ValueError, match="Out of range float"):
+        encode(msg)
+    shared["v"] = 1.0
+    assert encode(msg) == b'{"id":1,"a":[{"v":1.0}],"b":{"v":1.0}}\n'
+
+
+def test_codec_gives_the_same_bytes_from_eight_threads():
+    roots = [{"handle": f"h{i}", "entity": f"e{i}", "floor": 0.0, "ceiling": i / 7}
+             for i in range(20)]
+    msgs = [{"id": i, "ok": True, "roots": roots, "x": i * 0.1, "s": "\u2603" * (i % 3)}
+            for i in range(100)]
+    expected = [_dumps_line(m).encode() for m in msgs]
+    results, errors = [None] * 8, []
+
+    def work(k):
+        try:
+            out = []
+            for _ in range(3):
+                for m in msgs:
+                    line = encode(m)
+                    out.append((line, decode(line)))
+            results[k] = out
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    for out in results:
+        assert [line for line, _ in out] == expected * 3
+        assert [msg for _, msg in out] == [json.loads(line) for line in expected] * 3
