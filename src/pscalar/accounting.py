@@ -190,6 +190,8 @@ class PrivacyLedger:
             publish_id, entity, rho_text, _ts = parts
             try:
                 rho = float(rho_text)
+                if not (math.isfinite(rho) and rho >= 0.0):  # no RdpSpend holds such a rho
+                    raise ValueError
             except ValueError:
                 raise LedgerError(f"journal line {lineno}: bad rho {rho_text!r}") from None
             self._cumulative[entity] = self._cumulative.get(entity, 0.0) + rho

@@ -1,9 +1,9 @@
 """Data-owner node: dataset ingestion, remote handles, budget-gated publishing.
 
-The node holds raw data and all derived private scalars.  Remote sessions
-only ever see opaque handles, public metadata, spend totals, and noisy
-released values; every outbound message is structurally scanned against
-private-value leakage.
+The node holds the clipped inputs and all derived private scalars.  Remote
+sessions only ever see opaque handles, public metadata, spend totals, and
+noisy released values; every outbound message is structurally scanned
+against private-value leakage.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .accounting import (
     remaining_budget,
 )
 from .mechanism import BudgetRejected, GaussianNoiseSource, publish, simulate_publish
-from .poly import PolynomialError, TermLimitError, VarId, _SlotsRecord, _tuple_record
+from .poly import Polynomial, PolynomialError, TermLimitError, VarId, _SlotsRecord, _tuple_record
 from .scalar import (
     EntityInput,
     MetadataConflictError,
@@ -70,17 +70,8 @@ class NodeError(Exception):
         self.detail = detail
 
 
-class DatasetRow(_SlotsRecord):
-    """One CSV row: an entity's raw value and its public bounds."""
-
-    __slots__ = ("entity", "value", "floor", "ceiling")
-
-    def __init__(self, entity: str, value: float, floor: float, ceiling: float):
-        self.entity, self.value, self.floor, self.ceiling = entity, value, floor, ceiling
-
-
 class Dataset(_tuple_record("Dataset", "name rows")):
-    """A loaded CSV column: its name and a tuple of DatasetRow."""
+    """A loaded CSV column: its name and a tuple of (entity, EntityInput) pairs."""
 
     __slots__ = ()
 
@@ -174,7 +165,7 @@ def read_dataset_csv(path: str | Path, name: str | None = None) -> Dataset:
     except OSError as exc:
         raise IngestError(f"{path}: {exc}") from exc
     reader = csv.reader(text.splitlines())
-    rows: list[DatasetRow] = []
+    rows: list[tuple[str, EntityInput]] = []
     seen: dict[str, int] = {}
     header = None
     for lineno, record in enumerate(reader, start=1):
@@ -202,10 +193,9 @@ def read_dataset_csv(path: str | Path, name: str | None = None) -> Dataset:
         except ValueError:
             raise IngestError(f"{path}:{lineno}: non-numeric value/floor/ceiling") from None
         try:
-            EntityInput(value, floor, ceiling)
+            rows.append((entity, EntityInput(value, floor, ceiling)))
         except ValueError as exc:
             raise IngestError(f"{path}:{lineno}: {exc}") from None
-        rows.append(DatasetRow(entity, value, floor, ceiling))
     if header is None:
         raise IngestError(f"{path}: empty file")
     if not rows:
@@ -284,7 +274,7 @@ class Node:
         self.noise = GaussianNoiseSource(config.seed)
         self.journal_dir = Path(config.journal_dir) if config.journal_dir else None
         self.store = ObjectStore()
-        # dataset -> its public root records; raw values live only in the roots
+        # dataset -> its public root records; clipped values live only in the scalars
         self._roots: dict[str, list[dict]] = {}
         self._entities: set[str] = set()
         self._users: dict[str, UserAccount] = {}  # by api key
@@ -335,15 +325,14 @@ class Node:
         if ds.name in self._roots:
             raise IngestError(f"dataset {ds.name!r} already loaded")
         roots = []
-        for row in ds.rows:
-            var = VarId(row.entity, ds.name)
-            scalar = PrivateScalar.make_private(var, row.value, row.floor, row.ceiling)
-            handle = self.store.add(scalar, owner=None)
+        for entity, rec in ds.rows:
+            var = VarId(entity, ds.name)
+            handle = self.store.add(PrivateScalar(Polynomial.variable(var), {var: rec}), owner=None)
             roots.append(
-                {"handle": handle, "entity": row.entity, "floor": row.floor, "ceiling": row.ceiling}
+                {"handle": handle, "entity": entity, "floor": rec.floor, "ceiling": rec.ceiling}
             )
         self._roots[ds.name] = roots
-        self._entities.update(row.entity for row in ds.rows)
+        self._entities.update(entity for entity, _ in ds.rows)
         return ds.name
 
     # -- audit ---------------------------------------------------------------------

@@ -18,7 +18,7 @@ from .poly import (
 
 
 class MetadataConflictError(ValueError):
-    """One entity variable carries two different (value, floor, ceiling) records."""
+    """One entity variable carries two different (clipped, floor, ceiling) records."""
 
 
 class UnsupportedOperationError(TypeError):
@@ -35,30 +35,24 @@ def clip(value: float, floor: float, ceiling: float) -> float:
 
 
 class EntityInput(_SlotsRecord):
-    """One entity's contribution: the raw private value and its public bounds.
+    """One entity's contribution: its value clipped to its public bounds.
 
-    ``value`` is owner-side only: it must never be serialized toward a
+    The raw value is checked and clipped once, here, and not kept.
+    ``clipped`` is owner-side only: it must never be serialized toward a
     data-scientist session.  ``floor`` and ``ceiling`` are public metadata.
     """
 
-    __slots__ = ("value", "floor", "ceiling")
+    __slots__ = ("clipped", "floor", "ceiling")
 
     def __init__(self, value: float, floor: float, ceiling: float):
-        self.value = _require_finite(value, "value")
+        value = _require_finite(value, "value")
         self.floor = _require_finite(floor, "floor")
         self.ceiling = _require_finite(ceiling, "ceiling")
         if self.floor > self.ceiling:
             raise ValueError(
                 f"floor must not exceed ceiling, got [{self.floor}, {self.ceiling}]"
             )
-
-    @property
-    def clipped(self) -> float:
-        return clip(self.value, self.floor, self.ceiling)
-
-    @property
-    def interval(self) -> Interval:
-        return Interval(self.floor, self.ceiling)
+        self.clipped = clip(value, self.floor, self.ceiling)
 
 
 def _merge_inputs(out: dict[VarId, EntityInput], inputs: Mapping[VarId, EntityInput]) -> None:
@@ -76,8 +70,9 @@ class PrivateScalar:
     """A derived scalar held on the data owner's side.
 
     The scalar is a polynomial over entity variables together with the
-    per-entity input records.  Inputs are clipped to their public bounds
-    exactly once, at the leaves, when the value is evaluated.  Entities whose
+    per-entity input records, each clipped to its public bounds when it was
+    made.  Op results that keep their operand's variables share its
+    ``inputs`` map, which no scalar writes after it is made.  Entities whose
     variables cancelled out of the polynomial stay in ``inputs`` so their
     (zero) contribution remains visible downstream.
 
@@ -105,7 +100,7 @@ class PrivateScalar:
 
     @classmethod
     def _derived(cls, poly: Polynomial, inputs: dict[VarId, EntityInput]) -> "PrivateScalar":
-        """An op's result: its poly's variables lie in its operands' fresh ``inputs``."""
+        """An op's result: its poly's variables lie in its operands' ``inputs``."""
         s = object.__new__(cls)
         s.poly = poly
         s.inputs = inputs
@@ -123,7 +118,7 @@ class PrivateScalar:
         ceiling: float,
         attribute: str = "",
     ) -> "PrivateScalar":
-        """Root scalar for one entity's raw input with its public bounds."""
+        """Root scalar for one entity's input, clipped to its public bounds."""
         v = entity if isinstance(entity, VarId) else VarId(str(entity), attribute)
         return cls(Polynomial.variable(v), {v: EntityInput(value, floor, ceiling)})
 
@@ -154,7 +149,7 @@ class PrivateScalar:
         return self.poly.term_count
 
     def value(self) -> float:
-        """Owner-side evaluation: clip every input once, then evaluate the poly."""
+        """Owner-side evaluation of the poly at the clipped inputs."""
         return self.poly.evaluate(self.clipped_assignment())
 
     # -- arithmetic ---------------------------------------------------------------
@@ -166,7 +161,7 @@ class PrivateScalar:
             return PrivateScalar._derived(combine(self.poly, other.poly), inputs)
         if isinstance(other, numbers.Real):
             const = Polynomial.constant(float(other))
-            return PrivateScalar._derived(combine(self.poly, const), dict(self.inputs))
+            return PrivateScalar._derived(combine(self.poly, const), self.inputs)
         return NotImplemented
 
     def __add__(self, other):
@@ -188,20 +183,20 @@ class PrivateScalar:
     __rmul__ = __mul__
 
     def __neg__(self) -> "PrivateScalar":
-        return PrivateScalar._derived(-self.poly, dict(self.inputs))
+        return PrivateScalar._derived(-self.poly, self.inputs)
 
     def scale(self, c: float) -> "PrivateScalar":
-        return PrivateScalar._derived(self.poly.scale(c), dict(self.inputs))
+        return PrivateScalar._derived(self.poly.scale(c), self.inputs)
 
     def shift(self, c: float) -> "PrivateScalar":
-        return PrivateScalar._derived(self.poly + Polynomial.constant(c), dict(self.inputs))
+        return PrivateScalar._derived(self.poly + Polynomial.constant(c), self.inputs)
 
     def __pow__(self, k) -> "PrivateScalar":
         if not isinstance(k, int) or isinstance(k, bool) or k < 0:
             raise UnsupportedOperationError(
                 f"only non-negative integer powers stay polynomial, got {k!r}"
             )
-        return PrivateScalar._derived(self.poly.power(k), dict(self.inputs))
+        return PrivateScalar._derived(self.poly.power(k), self.inputs)
 
     def __truediv__(self, other):
         raise UnsupportedOperationError(

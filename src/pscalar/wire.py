@@ -74,18 +74,23 @@ def decode(line: bytes | str) -> dict:
     the C scanner.  Anything that path does not take whole (a scan error, or
     more than JSON whitespace after the object) goes through ``json.loads``,
     so what is accepted, the object and the error text are json.loads' own:
-    a byte after ``{`` that marks UTF-16 or UTF-32 fails the scan.
+    a byte after ``{`` that marks UTF-16 or UTF-32 fails the scan.  The one
+    difference: a line nested deeper than the recursion limit, on which
+    json.loads raises RecursionError, raises ValueError here.
     """
-    if isinstance(line, bytes) and line.startswith(b"{"):
-        try:
-            text = line.decode("utf-8", "surrogatepass")
-            msg, end = _scan(text, 0)
-        except (ValueError, StopIteration):
-            pass
-        else:
-            if not text[end:].strip(" \t\n\r"):
-                return msg
-    msg = json.loads(line)
+    try:
+        if isinstance(line, bytes) and line.startswith(b"{"):
+            try:
+                text = line.decode("utf-8", "surrogatepass")
+                msg, end = _scan(text, 0)
+            except (ValueError, StopIteration):
+                pass
+            else:
+                if not text[end:].strip(" \t\n\r"):
+                    return msg
+        msg = json.loads(line)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
     if not isinstance(msg, dict):
         raise ValueError("protocol messages must be JSON objects")
     return msg

@@ -259,6 +259,16 @@ def test_ledger_rejects_malformed_journal(tmp_path):
     path.write_text("p000001\tA\n")
     with pytest.raises(LedgerError):
         PrivacyLedger.replayed(path)
+    # no record writes these; a NaN total would pass every filter, as nan > cap is False
+    for rho in ("nan", "inf", "-1.0"):
+        path.write_text(
+            "p000001\tA\t0.5\t2026-01-01T00:00:00+00:00\n"
+            f"p000002\tA\t{rho}\t2026-01-01T00:00:01+00:00\n"
+        )
+        with pytest.raises(LedgerError, match="journal line 2"):
+            PrivacyLedger.replayed(path)
+        with pytest.raises(LedgerError, match="journal line 2"):
+            PrivacyLedger(journal_path=path)
 
 
 def test_snapshot_bytes_sorted_and_stable():

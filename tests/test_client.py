@@ -513,9 +513,11 @@ AUTH_OK = b'{"id":1,"ok":true,"user":"x","datasets":[]}\n'
         b'{"id":1,"ok":false,"error":{"code":"budget_rejected","detail":"x"},"rejection":[1]}\n',
         b'{"id":1,"ok":false,"error":{"code":"budget_rejected","detail":"x"},'
         b'"rejection":{"entities":7,"projected_eps":[]}}\n',
+        b'{"id":1,"ok":true,"x":' + b"[" * 100_000 + b"\n",
     ],
     ids=["not_json", "list", "number", "error_not_an_object", "ok_without_user",
-         "datasets_not_a_list", "rejection_not_an_object", "rejected_entities_not_a_list"],
+         "datasets_not_a_list", "rejection_not_an_object", "rejected_entities_not_a_list",
+         "nested_too_deeply"],
 )
 def test_garbage_response_is_transport_error(answer):
     addr, closed = _one_shot_server([answer])

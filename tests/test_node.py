@@ -21,7 +21,6 @@ from pscalar.cli import node_main
 from pscalar.node import (
     AUDIT_FILE,
     MAX_REQUEST_BYTES,
-    DatasetRow,
     IngestError,
     Node,
     NodeConfig,
@@ -44,7 +43,7 @@ from pscalar.wire import (
     scalar_summary,
     spend_wire,
 )
-from pscalar.accounting import RdpSpend
+from pscalar.accounting import LedgerError, RdpSpend
 from pscalar.mechanism import PublishReceipt
 from pscalar.scalar import EntityInput
 
@@ -104,7 +103,7 @@ def test_value_records_refuse_json_and_keep_their_checks():
     spend = RdpSpend(VarId("A"), 0.125, 0.5)
     for record in (
         EntityInput(0.7, 0.0, 1.0),
-        DatasetRow("A", 0.7, 0.0, 1.0),
+        ("A", EntityInput(0.7, 0.0, 1.0)),  # a dataset row
         spend,
         PublishReceipt("p000001", 12.5, 3.0, (spend,), "2026-01-01T00:00:00+00:00"),
     ):
@@ -113,6 +112,7 @@ def test_value_records_refuse_json_and_keep_their_checks():
         with pytest.raises(TypeError):
             json.dumps({"nested": [record]})
     assert EntityInput(0.7, 0.0, 1.0) == EntityInput(0.7, 0.0, 1.0) != EntityInput(0.7, 0.0, 2.0)
+    assert EntityInput(1.5, 0.0, 1.0) == EntityInput(1.0, 0.0, 1.0)  # equal once clipped
     assert spend == RdpSpend(VarId("A"), 0.125, 0.5)
     assert repr(spend) == "RdpSpend(entity=VarId(entity='A', attribute=''), rho=0.125, lipschitz=0.5)"
     for rho in (-1.0, float("nan")):
@@ -133,9 +133,10 @@ def test_ingest_happy_path(tmp_path):
     path = good_csv(tmp_path, "entity,value,floor,ceiling\nA,5.5,0,10\nB,-2,0,10\n")
     ds = read_dataset_csv(path)
     assert ds.name == "data"
-    assert [r.entity for r in ds.rows] == ["A", "B"]
-    assert ds.rows[0].value == 5.5
-    assert ds.rows[1].floor == 0.0
+    assert [entity for entity, _ in ds.rows] == ["A", "B"]
+    assert ds.rows[0][1].clipped == 5.5
+    assert ds.rows[1][1].floor == 0.0
+    assert ds.rows[1][1].clipped == 0.0  # -2 clipped into [0, 10] as it was read
     named = read_dataset_csv(path, name="override")
     assert named.name == "override"
 
@@ -145,6 +146,22 @@ def test_ingest_header_must_match(tmp_path):
     with pytest.raises(IngestError) as err:
         read_dataset_csv(path)
     assert "header" in str(err.value)
+
+
+def test_ingest_keeps_no_raw_value(tmp_path):
+    node = make_node(tmp_path)
+    serve_csv(tmp_path, node, "entity,value,floor,ceiling\nA,150.0,0,100\nB,-7.5,0,100\nC,42,0,100")
+    stored = list(node.store._objects.values())  # ObjectStore exposes no listing
+    assert len(stored) == 3
+    kept = []
+    for obj in stored:
+        kept += [c for _, c in obj.scalar.poly.items()]
+        for rec in obj.scalar.inputs.values():
+            kept += [getattr(rec, field) for field in rec.__slots__]
+    assert 150.0 not in kept and -7.5 not in kept
+    assert sorted(rec.clipped for obj in stored for rec in obj.scalar.inputs.values()) == [
+        0.0, 42.0, 100.0]
+    node.close()
 
 
 def test_ingest_errors_carry_line_numbers(tmp_path):
@@ -824,6 +841,16 @@ def test_node_that_fails_to_start_closes_its_files(tmp_path, users, match):
     gc.collect()
 
 
+@pytest.mark.parametrize("rho", ["nan", "inf", "-1.0"])
+def test_node_refuses_to_start_on_a_journal_rho_no_record_writes(tmp_path, rho):
+    journal = tmp_path / "state"
+    journal.mkdir()
+    (journal / "ledger-shared.log").write_text(f"p000001\tA\t{rho}\t2026-01-01T00:00:00+00:00\n")
+    with pytest.raises(LedgerError, match="journal line 1"):
+        Node(NodeConfig(eps_cap=1.0, delta=1e-6, shared_ledger=True, journal_dir=journal))
+    gc.collect()  # the audit file it opened is closed, or the ResourceWarning filter fails
+
+
 def test_audit_trail_records_publishes(tmp_path):
     node = make_node(tmp_path)
     serve_csv(tmp_path, node)
@@ -920,9 +947,11 @@ def test_tcp_malformed_and_auth_frames(tmp_path):
                 f.flush()
                 return json.loads(f.readline())
 
-            bad = send(b"this is not json")
-            assert bad["ok"] is False and bad["id"] is None
-            assert bad["error"]["code"] == "bad_request"
+            # the second line is nested deeper than the decoder's recursion limit
+            for raw in (b"this is not json", b'{"id":1,"op":"auth","key":"k","x":' + b"[" * 100_000):
+                bad = send(raw)
+                assert bad["ok"] is False and bad["id"] is None
+                assert bad["error"]["code"] == "bad_request"
             ok = send(json.dumps({"id": 1, "op": "auth", "key": "k1"}).encode())
             assert ok["ok"] and ok["id"] == 1
             # ids echo back on every frame

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pscalar.accounting import spend_for_publish
 from pscalar.node import Node
 from pscalar.poly import Monomial, NonFiniteError, Polynomial, VarId
 from pscalar.scalar import (
@@ -21,6 +22,7 @@ from pscalar.scalar import (
     clip,
     sum_scalars,
 )
+from pscalar.wire import encode, scalar_summary
 
 
 def mk(entity, value, lo, hi):
@@ -74,7 +76,26 @@ def test_entity_input_validation():
         EntityInput(1.0, 0.0, math.inf)
     rec = EntityInput(12.0, 0.0, 10.0)
     assert rec.clipped == 10.0
-    assert rec.interval.lo == 0.0 and rec.interval.hi == 10.0
+    assert rec.floor == 0.0 and rec.ceiling == 10.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.floats(-1e6, 1e6),
+    st.floats(-1e3, 1e3),
+    st.floats(0.0, 1e3),
+)
+def test_a_raw_value_and_its_clip_make_the_same_scalar(raw, lo, width):
+    hi = lo + width
+    b = mk("B", 2.0, -1.0, 4.0)
+    roots = [mk("A", raw, lo, hi), mk("A", clip(raw, lo, hi), lo, hi)]
+    assert roots[0].inputs == roots[1].inputs
+    for build in (lambda a: a, lambda a: (a ** 2).scale(0.5) + b, lambda a: -(a * b).shift(3.0)):
+        raw_q, clipped_q = (build(a) for a in roots)
+        assert raw_q.inputs == clipped_q.inputs
+        assert raw_q.value().hex() == clipped_q.value().hex()
+        assert spend_for_publish(raw_q, 10.0) == spend_for_publish(clipped_q, 10.0)
+        assert encode(scalar_summary(raw_q)) == encode(scalar_summary(clipped_q))
 
 
 def test_metadata_conflict_on_combine():
@@ -134,6 +155,21 @@ def test_from_public_and_sum():
     assert total.value() == 0.0 + 1 + 2 + 3 + 4
     assert len(total.entities()) == 5
     assert sum_scalars([]).value() == 0.0
+
+
+def test_ops_that_keep_their_variables_share_the_input_map():
+    a, b = mk("A", 5.0, 0.0, 10.0), mk("B", 7.0, 0.0, 10.0)
+    for result in (-a, a.scale(0.5), a.shift(1.0), a ** 3, a * 3.0, 3.0 * a, a + 2.0,
+                   2.0 + a, a - 1.0, 1.0 - a):
+        assert result.inputs is a.inputs
+    # the ops that merge two maps build a fresh one and write neither operand's
+    scaled = a.scale(2.0)  # shares a's map, so a write into it would reach a
+    before = [(s, s.inputs, dict(s.inputs)) for s in (a, b, scaled)]
+    for result in (scaled + b, scaled * b, b - scaled, sum_scalars([scaled, b])):
+        assert set(result.inputs) == {VarId("A"), VarId("B")}
+        for s, shared, content in before:
+            assert s.inputs is shared and s.inputs == content
+            assert result.inputs is not shared
 
 
 # coefficients that cancel exactly (1 - 1) and inexactly (0.1 + 0.2 - 0.3)
