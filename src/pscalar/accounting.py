@@ -14,6 +14,7 @@ from __future__ import annotations
 import contextlib
 import datetime
 import math
+import re
 import struct
 import sys
 import threading
@@ -27,6 +28,10 @@ from .sensitivity import lipschitz_bound
 # Nudges that calibrate_sigma may take past its exact inverse; rounding in the
 # spends leaves that inverse at most a few ulps short of what the filter admits.
 _CALIBRATION_ULP_STEPS = 64
+#: Least and greatest noise level that calibrate_sigma returns.
+SIGMA_MIN, SIGMA_MAX = 1e-6, 1e9
+#: What a journal field cannot hold: the field separator and each break of str.splitlines.
+JOURNAL_UNSAFE = re.compile("[\t\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
 
 
 class LedgerError(ValueError):
@@ -112,8 +117,8 @@ class FilterDecision(_tuple_record("FilterDecision", "ok violations", defaults=(
 def spend_for_publish(scalar: PrivateScalar, sigma: float) -> list[RdpSpend]:
     """Per-entity Renyi cost of one Gaussian release of the scalar at sigma.
 
-    Uses removal semantics: the Lipschitz bound for each entity is taken over
-    its box widened through 0, the replacement value.  Sigma must keep
+    Uses removal semantics: each entity's Lipschitz bound is taken over its
+    box widened through 0, the replacement value.  Sigma must keep
     ``2 sigma^2`` a positive normal float, so that every cost is finite.
 
     The slopes depend only on public data, so the first call keeps them with
@@ -128,10 +133,7 @@ def spend_for_publish(scalar: PrivateScalar, sigma: float) -> list[RdpSpend]:
     ):
         raise ValueError(f"sigma must be positive with 2*sigma^2 a normal float, got {sigma!r}")
     if scalar._slopes is None:
-        scalar._slopes = tuple(
-            (v, lipschitz_bound(scalar, v, include_origin=True).bound)
-            for v in sorted(scalar.inputs)
-        )
+        scalar._slopes = tuple((v, lipschitz_bound(scalar, v).bound) for v in sorted(scalar.inputs))
     spends = []
     denom, inputs = 2.0 * sigma * sigma, scalar.inputs
     for v, slope in scalar._slopes:
@@ -244,14 +246,19 @@ class PrivacyLedger:
 
         A journaled ledger whose journal is closed refuses the record and
         stays unchanged, so its totals never run ahead of what a restart replays.
+        So does any ledger, simulated too, when an entity id holds a character
+        in ``JOURNAL_UNSAFE``, which replay would split on.
         """
         ts = timestamp if timestamp is not None else _now_iso()
         with self._lock:
             if self.journal_path is not None and self._journal is None:
                 raise LedgerError("the ledger's journal is closed")
+            spends = sorted(spends, key=attrgetter("entity"))
+            ids = [s.entity.entity for s in spends]
+            if JOURNAL_UNSAFE.search("".join(ids)):
+                raise LedgerError("an entity id holds a tab or a line break; a journal cannot")
             lines = []
-            for s in sorted(spends, key=attrgetter("entity")):
-                entity = s.entity.entity
+            for s, entity in zip(spends, ids):
                 self._cumulative[entity] = self._cumulative.get(entity, 0.0) + s.rho
                 lines.append(f"{publish_id}\t{entity}\t{s.rho:.17g}\t{ts}\n")
             if self._journal is not None and lines:
@@ -302,30 +309,23 @@ def remaining_budget(ledger: PrivacyLedger, entity: str, policy: BudgetPolicy) -
     return max(0.0, policy.eps_cap - rdp_to_dp(ledger.total(entity), policy.delta))
 
 
-def calibrate_sigma(
-    scalar: PrivateScalar,
-    ledger: PrivacyLedger,
-    policy: BudgetPolicy,
-    *,
-    lo: float = 1e-6,
-    hi: float = 1e9,
-) -> float:
-    """Smallest sigma, at least lo, whose release passes the budget filter.
+def calibrate_sigma(scalar: PrivateScalar, ledger: PrivacyLedger, policy: BudgetPolicy) -> float:
+    """Smallest sigma, at least SIGMA_MIN, whose release passes the budget filter.
 
     Spends scale as 1/sigma^2, so an entity costing u at sigma = 1 with ledger
     total t fits iff ``sigma^2 >= u / (policy.rho_cap - t)``, the exact cap the
     filter enforces.  The largest of these inverses is stepped up by ulps, for
     the rounding of the spends, until the filter admits it.  Raises
-    CalibrationError naming the blocked entities when no sigma up to hi can pass.
+    CalibrationError naming the blocked entities when no sigma up to SIGMA_MAX can pass.
     """
     needed = {}
     for entity, unit in _aggregate_by_entity(spend_for_publish(scalar, 1.0)).items():
         if unit > 0.0:
             headroom = policy.rho_cap - ledger.total(entity)
             needed[entity] = math.sqrt(unit / headroom) if headroom > 0.0 else math.inf
-    blocked = sorted(e for e, s in needed.items() if s > hi)
+    blocked = sorted(e for e, s in needed.items() if s > SIGMA_MAX)
     if not blocked:
-        sigma = max([lo, *needed.values()])
+        sigma = max([SIGMA_MIN, *needed.values()])
         for _ in range(_CALIBRATION_ULP_STEPS):
             decision = filter_check(ledger, spend_for_publish(scalar, sigma), policy)
             if decision.ok:

@@ -21,6 +21,7 @@ import threading
 from pathlib import Path
 
 from .accounting import (
+    JOURNAL_UNSAFE,
     BudgetPolicy,
     PrivacyLedger,
     _now_iso,
@@ -181,8 +182,10 @@ def read_dataset_csv(path: str | Path, name: str | None = None) -> Dataset:
         if len(record) != 4:
             raise IngestError(f"{path}:{lineno}: expected 4 fields, got {len(record)}")
         entity = record[0].strip()
-        if not entity or "\t" in entity or "\n" in entity:
+        if not entity or JOURNAL_UNSAFE.search(entity):
             raise IngestError(f"{path}:{lineno}: bad entity identifier {record[0]!r}")
+        if entity in ("*", "min"):  # remaining_budget's aggregate queries
+            raise IngestError(f"{path}:{lineno}: entity identifier {entity!r} is reserved")
         if entity in seen:
             raise IngestError(
                 f"{path}:{lineno}: duplicate entity {entity!r} (first at line {seen[entity]})"

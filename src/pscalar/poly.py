@@ -9,6 +9,9 @@ from typing import Iterator, Mapping
 
 #: Most terms a product may hold before it is refused.
 TERM_LIMIT = 100_000
+#: Most term pairs a product may form before it is refused: enough for the
+#: square of any sum whose square fits TERM_LIMIT (446 terms, 198,916 pairs).
+PAIR_LIMIT = 2 * TERM_LIMIT
 
 _exponent = itemgetter(1)  # of a (variable, exponent) pair
 
@@ -22,7 +25,7 @@ class MissingVariableError(PolynomialError):
 
 
 class TermLimitError(PolynomialError):
-    """An operation would exceed the term-count cap ``TERM_LIMIT``."""
+    """A product would exceed the term cap ``TERM_LIMIT`` or the work cap ``PAIR_LIMIT``."""
 
 
 class NonFiniteError(PolynomialError):
@@ -94,23 +97,6 @@ class Monomial(_tuple_record("Monomial", "powers", defaults=((),))):
 
     __slots__ = ()
 
-    @classmethod
-    def unit(cls) -> "Monomial":
-        return _UNIT
-
-    @classmethod
-    def of(cls, exponents: Mapping[VarId, int]) -> "Monomial":
-        items = []
-        for v, e in exponents.items():
-            if e == 0:
-                continue
-            if not isinstance(e, int) or e < 0:
-                raise PolynomialError(
-                    f"exponent of {v.label()} must be a non-negative integer, got {e!r}"
-                )
-            items.append((v, e))
-        return cls(tuple(sorted(items)))
-
     @property
     def degree(self) -> int:
         return sum(map(_exponent, self.powers))
@@ -160,9 +146,6 @@ class Interval(_tuple_record("Interval", "lo hi")):
         """Smallest interval covering both self and the point x."""
         x = _require_finite(x, "hull point")
         return Interval(min(self.lo, x), max(self.hi, x))
-
-    def abs_max(self) -> float:
-        return max(abs(self.lo), abs(self.hi))
 
     def __mul__(self, other: "Interval") -> "Interval":
         products = (
@@ -251,10 +234,6 @@ class Polynomial:
         return p
 
     @classmethod
-    def zero(cls) -> "Polynomial":
-        return cls()
-
-    @classmethod
     def constant(cls, c) -> "Polynomial":
         c = _require_finite(c, "constant")
         return cls._canonical({_UNIT: c} if c != 0.0 else {}, 0)
@@ -272,16 +251,10 @@ class Polynomial:
     def term_count(self) -> int:
         return len(self._terms)
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def degree(self) -> int:
         if self._degree is None:
             self._degree = max((m.degree for m in self._terms), default=0)
         return self._degree
-
-    def degree_in(self, v: VarId) -> int:
-        return max((m.degree_in(v) for m in self._terms), default=0)
 
     def variables(self) -> frozenset[VarId]:
         return frozenset(v for m in self._terms for v, _ in m.powers)
@@ -317,6 +290,8 @@ class Polynomial:
         return Polynomial({m: c * coeff for m, coeff in self._terms.items()})
 
     def mul(self, other: "Polynomial") -> "Polynomial":
+        if len(self._terms) * len(other._terms) > PAIR_LIMIT:
+            raise TermLimitError(f"product exceeds the work cap of {PAIR_LIMIT} term pairs")
         out: dict[Monomial, float] = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
@@ -413,8 +388,7 @@ class Polynomial:
         if not self._terms:
             return "0"
         chunks: list[str] = []
-        for m in sorted(self._terms, key=_grlex_key):
-            c = self._terms[m]
+        for m, c in self.sorted_terms():
             mag = abs(c)
             if not m.powers:
                 body = f"{mag:g}"

@@ -78,10 +78,10 @@ class PrivateScalar:
 
     Instances are immutable by convention: operations return new scalars.
     Two caches rely on that, and both hold public data only: ``sensitivity``
-    keeps every entity's slope bounds (or a degree <= 1 coefficient map) in
-    ``_bound_facts``, and ``accounting.spend_for_publish`` keeps the sorted
-    ``(VarId, removal slope)`` pairs in ``_slopes``, so each query is bounded
-    once whatever its sigma.
+    keeps every entity's removal bound in ``_bound_facts``, and
+    ``accounting.spend_for_publish`` keeps the sorted ``(VarId, removal
+    slope)`` pairs in ``_slopes``, so each query is bounded once whatever its
+    sigma.
     """
 
     __slots__ = ("poly", "inputs", "_bound_facts", "_slopes")
@@ -129,17 +129,11 @@ class PrivateScalar:
 
     # -- inspection -------------------------------------------------------------
 
-    def entities(self) -> frozenset[VarId]:
-        return frozenset(self.inputs)
-
     def box(self) -> dict[VarId, Interval]:
         """Public box: every entity variable's [floor, ceiling] interval."""
         # EntityInput checked these bounds when it was made
         new = tuple.__new__
         return {v: new(Interval, (rec.floor, rec.ceiling)) for v, rec in self.inputs.items()}
-
-    def clipped_assignment(self) -> dict[VarId, float]:
-        return {v: rec.clipped for v, rec in self.inputs.items()}
 
     def degree(self) -> int:
         return self.poly.degree()
@@ -150,7 +144,7 @@ class PrivateScalar:
 
     def value(self) -> float:
         """Owner-side evaluation of the poly at the clipped inputs."""
-        return self.poly.evaluate(self.clipped_assignment())
+        return self.poly.evaluate({v: rec.clipped for v, rec in self.inputs.items()})
 
     # -- arithmetic ---------------------------------------------------------------
 

@@ -57,11 +57,6 @@ class ScriptReport:
     budget_trajectory: list[dict] = field(default_factory=list)
     bindings: dict = field(default_factory=dict)
 
-    def summary_lines(self) -> list[str]:
-        lines = [str(r) for r in self.steps]
-        lines.append(f"result: {'PASS' if self.ok else 'FAIL'} ({len(self.steps)} steps)")
-        return lines
-
 
 def parse_script(path: str | Path) -> list[dict]:
     steps = []

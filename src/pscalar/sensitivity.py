@@ -27,10 +27,9 @@ class LipschitzBound(_tuple_record("LipschitzBound", "entity bound strategy exac
     __slots__ = ()
 
 
-def lipschitz_bound(
-    scalar: PrivateScalar, entity: VarId, *, include_origin: bool = False
-) -> LipschitzBound:
-    """Sound bound on |dg/dx_entity| over the scalar's public box.
+def lipschitz_bound(scalar: PrivateScalar, entity: VarId) -> LipschitzBound:
+    """Sound bound on |dg/dx_entity| over the scalar's public box, the entity's
+    own range hulled with 0, the value that stands in for it once it is removed.
 
     The first route that applies wins, cheapest exact rule first:
 
@@ -42,44 +41,58 @@ def lipschitz_bound(
       ``_corner_max_abs``.
     - interval_sound: interval evaluation of the slope; sound but not exact.
 
-    ``include_origin`` widens the entity's own coordinate range to include
-    the removal replacement value 0.  The first call bounds every entity at
-    once (``_sweep``) and keeps the bounds with the scalar; a degree <= 1
-    scalar keeps only its coefficient map.
+    The first call bounds every entity at once (``_sweep``) and keeps the
+    bounds with the scalar.  A query whose value can overflow a float on the
+    box raises NonFiniteError for every entity, so no release of it is charged.
     """
     if entity not in scalar.inputs:
         raise UnknownEntityError(f"entity {entity.label()} does not contribute to this scalar")
     if scalar._bound_facts is None:
-        poly, coeffs = scalar.poly, None
-        if poly.degree() <= 1:
-            coeffs = {m.powers[0][0]: c for m, c in poly.items() if m.powers}
-        scalar._bound_facts = (coeffs, {})
-    coeffs, swept = scalar._bound_facts
-    if coeffs is not None:
-        return LipschitzBound(entity, abs(coeffs.get(entity, 0.0)), FIRST_DEGREE, True)
-    if include_origin not in swept:
-        swept[include_origin] = _sweep(scalar, include_origin)
-    res = swept[include_origin][entity]
+        scalar._bound_facts = _sweep(scalar)
+    res = scalar._bound_facts.get(entity, 0.0)  # 0.0: cancelled out of a degree <= 1 query
+    if isinstance(res, float):
+        return LipschitzBound(entity, abs(res), FIRST_DEGREE, True)
     if isinstance(res, str):
         raise NonFiniteError(res)
     return res
 
 
-def _sweep(scalar: PrivateScalar, include_origin: bool) -> dict:
-    """Every entity's bound, or the message of the NonFiniteError it raises, in one pass."""
-    poly, box = scalar.poly, scalar.box()
+def _sweep(scalar: PrivateScalar) -> dict:
+    """Each entity's bound or NonFiniteError message (coefficient if degree <= 1), in one pass.
+
+    It first refuses a query whose value can overflow a float on the box: the
+    terms' magnitudes at each variable's largest |x|, rounded as
+    ``Polynomial.evaluate`` rounds, must sum to a float (rounding is monotone).
+    A degree <= 1 query's slopes are its coefficients: it needs no box or index.
+    """
+    poly, inputs = scalar.poly, scalar.inputs
+    first_degree = poly.degree() <= 1
     # variable -> powers, its index there, coefficient, ... for each of its terms
     # in term order; flat, as a tuple per (term, variable) pair costs memory
-    own_terms = {}
-    for m, c in poly.items():
-        for i, (v, _) in enumerate(m.powers):
-            own_terms.setdefault(v, []).extend((m.powers, i, c))
+    own_terms, bounds, size = {}, {}, 0.0
+    mags = {v: max(-rec.floor, rec.ceiling) for v, rec in inputs.items()}
+    try:
+        for m, c in poly.items():
+            term = abs(c)
+            for i, (v, e) in enumerate(m.powers):
+                if first_degree:  # v is the term's one variable
+                    bounds[v] = c
+                else:
+                    own_terms.setdefault(v, []).extend((m.powers, i, c))
+                term *= mags[v] ** e
+            size += term
+    except OverflowError:
+        size = math.inf
+    if not math.isfinite(size):
+        raise NonFiniteError("the query's value can overflow a float on its public box")
+    if first_degree:
+        return bounds
+    box = scalar.box()
     monotone = all(c >= 0 for _, c in poly.items()) and all(box[v].lo >= 0 for v in own_terms)
-    bounds = {}
     for v in scalar.inputs:
         iv = box[v]
         # hull the entity's own range while it is bounded (iv itself if it holds 0)
-        if include_origin and not iv.lo <= 0.0 <= iv.hi:
+        if not iv.lo <= 0.0 <= iv.hi:
             box[v] = iv.hull_with(0.0)
         try:
             bounds[v] = _bound_slope(v, own_terms.get(v, ()), box, monotone)

@@ -26,16 +26,23 @@ def to_terms(poly: Polynomial):
     return out
 
 
-def to_box(scalar: PrivateScalar, *, include_origin: bool = False):
-    """Oracle box (label -> (lo, hi)) for a scalar, optionally hulled with 0."""
+def to_box(scalar: PrivateScalar, *, hulled: VarId | None = None):
+    """Oracle box (label -> (lo, hi)) for a scalar, entity ``hulled``'s range widened to 0.
+
+    The hulled box is the one a removal bound of ``hulled`` ranges over.
+    """
     box = {}
-    for v in scalar.entities():
-        rec = scalar.inputs[v]
+    for v, rec in scalar.inputs.items():
         lo, hi = rec.floor, rec.ceiling
-        if include_origin:
+        if v == hulled:
             lo, hi = min(lo, 0.0), max(hi, 0.0)
         box[v.label()] = (lo, hi)
     return box
+
+
+def clipped_values(scalar: PrivateScalar) -> dict[VarId, float]:
+    """Each input's clipped value, the point ``PrivateScalar.value`` evaluates at."""
+    return {v: rec.clipped for v, rec in scalar.inputs.items()}
 
 
 def random_scalar(

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import random_scalar, to_box, to_terms
+from conftest import clipped_values, random_scalar, to_box, to_terms
 from oracles import (
     analytic_rho_for_eps,
     analytic_sigma,
@@ -87,41 +87,35 @@ def _sample_bounded_query(rnd: random.Random) -> PrivateScalar:
 
 
 def test_c01_slope_bounds_dominate_grid_suprema():
-    with criterion("C1", "slope bounds dominate dense-grid suprema on 1000 random queries"):
+    with criterion("C1", "slope bounds dominate dense-grid suprema on 2000 random queries"):
         rnd = random.Random(0xC1)
         t0 = time.monotonic()
         exact_checked = 0
         exact_nontrivial = 0
         sound_checked = 0
-        for _ in range(1000):
+        for _ in range(2000):
             scalar = _sample_bounded_query(rnd)
             terms = to_terms(scalar.poly)
-            for entity in sorted(scalar.entities()):
+            for entity in sorted(scalar.inputs):
                 dterms = diff_terms(terms, entity.label())
                 dvars = sorted({n for _, pw in dterms for n in pw})
-                for origin in (False, True):
-                    res = lipschitz_bound(scalar, entity, include_origin=origin)
-                    box = to_box(scalar, include_origin=False)
-                    if origin:
-                        lo, hi = box[entity.label()]
-                        box[entity.label()] = (min(lo, 0.0), max(hi, 0.0))
-                    # soundness: a 41-point-per-axis supremum never exceeds the bound
-                    sup = grid_max_abs(dterms, box, 41)
-                    assert sup <= res.bound + 1e-9, (
-                        str(scalar.poly), entity.label(), origin, res, sup
+                res = lipschitz_bound(scalar, entity)
+                box = to_box(scalar, hulled=entity)
+                # soundness: a 41-point-per-axis supremum never exceeds the bound
+                sup = grid_max_abs(dterms, box, 41)
+                assert sup <= res.bound + 1e-9, (str(scalar.poly), entity.label(), res, sup)
+                sound_checked += 1
+                # tightness: where the package claims exactness and the box
+                # has at most two live coordinates, a 201-point grid (which
+                # contains every corner) must agree to 1e-6
+                if res.exact and len(dvars) <= 2:
+                    sup201 = grid_max_abs(dterms, box, 201)
+                    assert res.bound == pytest.approx(sup201, rel=1e-6, abs=1e-6), (
+                        str(scalar.poly), entity.label(), res, sup201
                     )
-                    sound_checked += 1
-                    # tightness: where the package claims exactness and the box
-                    # has at most two live coordinates, a 201-point grid (which
-                    # contains every corner) must agree to 1e-6
-                    if res.exact and len(dvars) <= 2:
-                        sup201 = grid_max_abs(dterms, box, 201)
-                        assert res.bound == pytest.approx(sup201, rel=1e-6, abs=1e-6), (
-                            str(scalar.poly), entity.label(), origin, res, sup201
-                        )
-                        exact_checked += 1
-                        if dvars:
-                            exact_nontrivial += 1
+                    exact_checked += 1
+                    if dvars:
+                        exact_nontrivial += 1
         elapsed = time.monotonic() - t0
         assert elapsed < 60.0, f"sweep took {elapsed:.1f}s"
         assert sound_checked >= 3000
@@ -141,7 +135,7 @@ def test_c02_linear_and_monotone_bounds_are_literal():
         parts = [mk(f"u{i:03d}", 18.0 + (i * 37) % 73, 0.0, 122.0) for i in range(1, 101)]
         mean = sum(parts[1:], parts[0]).scale(0.01)
         for i in range(1, 101):
-            res = lipschitz_bound(mean, VarId(f"u{i:03d}"), include_origin=True)
+            res = lipschitz_bound(mean, VarId(f"u{i:03d}"))
             assert res.bound == 0.01          # the exact double, not an approximation
             assert res.strategy == FIRST_DEGREE and res.exact
         spends = spend_for_publish(mean, 5.0)
@@ -183,7 +177,7 @@ def test_c03_spends_match_quadrature_divergence():
             scalar = random_scalar(rnd, max_vars=3, max_terms=5)
             sigma = rnd.uniform(5.0, 500.0)
             spends = spend_for_publish(scalar, sigma)
-            assign = scalar.clipped_assignment()
+            assign = clipped_values(scalar)
             value = scalar.poly.evaluate(assign)
             spend = spends[cases % len(spends)]
             worst_shift = spend.lipschitz * abs(assign[spend.entity])

@@ -44,14 +44,14 @@ def test_spend_single_entity_frozen():
     (spend,) = spend_for_publish(solo, 50.0)
     assert spend.rho == 0.5
     assert spend.lipschitz == 1.0
-    assert solo.clipped_assignment() == {VarId("solo"): 50.0}
+    assert solo.inputs[VarId("solo")].clipped == 50.0
     assert spend.entity == VarId("solo")
 
 
 def test_spend_uses_clipped_value():
     over = mk("A", 130.0, 0.0, 122.0)
     (spend,) = spend_for_publish(over, 122.0)
-    assert over.clipped_assignment() == {VarId("A"): 122.0}
+    assert over.inputs[VarId("A")].clipped == 122.0
     assert spend.rho == (122.0 * 122.0) / (2.0 * 122.0 * 122.0)  # = 0.5
 
 
@@ -249,6 +249,29 @@ def test_closed_journal_refuses_records(tmp_path):
     mem.close()
     mem.record([_spend("A", 0.1)], mem.next_publish_id())
     assert mem.total("A") == 0.1
+
+
+@pytest.mark.parametrize("bad", ["x\ty", "x\ny", "x\ry", "x\x0by", "x\x1cy", "x\x85y", "x\u2029y"])
+def test_ledger_refuses_an_entity_id_its_journal_cannot_hold(tmp_path, bad):
+    # replay splits a journal into lines with str.splitlines and a line into
+    # four fields at tabs, so such an id would leave a journal no node can reopen
+    from pscalar.mechanism import GaussianNoiseSource, publish, simulate_publish
+
+    path = tmp_path / "ledger.log"
+    pol = BudgetPolicy(eps_cap=2.0, delta=1e-6)
+    led = PrivacyLedger(journal_path=path)
+    publish(mk("ok", 1.0, 0.0, 1.0), 10.0, led, pol, GaussianNoiseSource(seed=1))
+    journal, totals, snapshot = path.read_text(), led.cumulative, led.snapshot_bytes()
+    query = mk("ok", 1.0, 0.0, 1.0) + mk(bad, 1.0, 0.0, 1.0)
+    fork = led.fork_simulated()
+    with pytest.raises(LedgerError):  # a rehearsal refuses as its release does
+        simulate_publish(query, 10.0, fork, pol)
+    with pytest.raises(LedgerError):
+        publish(query, 10.0, led, pol, GaussianNoiseSource(seed=1))
+    assert fork.snapshot_bytes() == snapshot
+    assert (path.read_text(), led.cumulative, led.snapshot_bytes()) == (journal, totals, snapshot)
+    led.close()
+    assert PrivacyLedger.replayed(path).snapshot_bytes() == snapshot
 
 
 def test_ledger_rejects_malformed_journal(tmp_path):
@@ -491,7 +514,7 @@ def test_calibrate_is_tight_against_the_filter():
         pol = BudgetPolicy(eps_cap=10.0 ** rnd.uniform(-1, 1), delta=10.0 ** rnd.uniform(-10, -3))
         cap = analytic_rho_for_eps(pol.eps_cap, pol.delta)
         led = PrivacyLedger()
-        for entity in sorted({v.entity for v in target.entities()}):
+        for entity in sorted({v.entity for v in target.inputs}):
             if rnd.random() < 0.5:
                 led.record([_spend(entity, rnd.uniform(0.0, 0.9) * cap)], led.next_publish_id())
         sigma = calibrate_sigma(target, led, pol)
@@ -516,13 +539,14 @@ def test_calibrate_admits_a_release_that_fits_just_under_the_cap():
     assert not filter_check(led, spend_for_publish(target, sigma * (1 - 1e-9)), pol).ok
 
 
-def test_calibrate_blocks_entities_needing_sigma_above_hi():
+def test_calibrate_blocks_entities_needing_sigma_above_hi(monkeypatch):
     pol = BudgetPolicy(eps_cap=1.0, delta=1e-6)
     led = PrivacyLedger()
     led.record([_spend("spent", 1.0)], led.next_publish_id())  # already past the cap
-    huge = mk("huge", 1e12, 0.0, 1e12)  # needs sigma ~ 2.7e12 against hi = 1e9
+    huge = mk("huge", 1e12, 0.0, 1e12)  # needs sigma ~ 2.7e12 against SIGMA_MAX = 1e9
     with pytest.raises(CalibrationError) as err:
         calibrate_sigma(huge + mk("spent", 5.0, 0.0, 10.0) + mk("fine", 5.0, 0.0, 10.0), led, pol)
     assert err.value.blocked == ["huge", "spent"]
-    sigma = calibrate_sigma(huge, led, pol, hi=1e13)
+    monkeypatch.setattr(accounting, "SIGMA_MAX", 1e13)
+    sigma = calibrate_sigma(huge, led, pol)
     assert sigma == pytest.approx(1e12 / math.sqrt(2.0 * rho_cap(1.0, 1e-6)), rel=1e-9)

@@ -195,7 +195,7 @@ def test_receipt_spends_keep_owner_side_details():
     receipt = publish(scalar, 200.0, led, POLICY, GaussianNoiseSource(seed=2))
     (spend,) = receipt.spends
     # the spend is charged on the clipped input, which it does not keep
-    assert scalar.clipped_assignment() == {VarId("A"): 122.0}
+    assert scalar.inputs[VarId("A")].clipped == 122.0
     assert spend.lipschitz == 1.0
     assert spend.rho == 122.0**2 / (2 * 200.0**2)
 

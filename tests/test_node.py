@@ -171,6 +171,8 @@ def test_ingest_errors_carry_line_numbers(tmp_path):
         ("entity,value,floor,ceiling\nA,x,0,2\n", ":2:"),            # non-numeric
         ("entity,value,floor,ceiling\nA,1,5,2\n", ":2:"),            # floor>ceiling
         ("entity,value,floor,ceiling\n,1,0,2\n", ":2:"),             # empty entity
+        ("entity,value,floor,ceiling\nA,1,0,2\n*,1,0,2\n", ":3:"),   # remaining_budget's
+        ("entity,value,floor,ceiling\nmin,1,0,2\n", ":2:"),          # aggregate queries
     ]
     for body, needle in cases:
         with pytest.raises(IngestError) as err:
@@ -672,6 +674,50 @@ def test_overflowing_slope_bound_is_a_bad_request(tmp_path):
             assert resp["error"]["code"] == "bad_request", (op, k, resp)
     assert s.sim.snapshot_bytes() == sim_before
     assert s.user.ledger.snapshot_bytes() == real_before
+    node.close()
+
+
+def test_a_value_that_can_overflow_on_the_box_is_refused_before_any_charge(tmp_path):
+    # 1e-300 * x^148 over [0, 122]: its slope needs x^147, which fits a float,
+    # but x^148 does not at x = 122.  The refusal reads the box alone, so a
+    # value where the release would overflow and one where it would not get
+    # the same answers, and neither is journaled
+    answers = []
+    for value in (122, 100):
+        node = make_node(tmp_path, subdir=f"state{value}")
+        serve_csv(tmp_path, node, f"entity,value,floor,ceiling\nA,{value},0,122\n", f"x{value}.csv")
+        node.add_user("u1", key="k1")
+        s = authed_session(node)
+        a = call(node, s, "get_roots", dataset=f"x{value}")["roots"][0]["handle"]
+        p = call(node, s, "unop", kind="pow", handle=a, k=148)["handle"]
+        q = call(node, s, "unop", kind="scale", handle=p, c=1e-300)
+        answers.append([q] + [call(node, s, op, handle=q["handle"], sigma=1e12)
+                              for op in ("simulate_publish", "publish", "simulate_publish")])
+        assert answers[-1][-1]["error"]["code"] == "bad_request", answers[-1]
+        assert s.user.ledger.snapshot_bytes() == b""
+        node.close()
+        assert (tmp_path / f"state{value}" / "ledger-user-u1.log").read_text() == ""
+    assert encode(answers[0]) == encode(answers[1])
+
+
+def test_a_product_that_forms_too_many_term_pairs_is_refused_at_once(tmp_path):
+    # (0.5*(x + 1))^16384 keeps each power of two under the term cap, yet its
+    # squarings form 4^14/3 pairs; the work cap refuses it before that work
+    node = make_node(tmp_path)
+    serve_csv(tmp_path, node)
+    node.add_user("u1", key="k1")
+    s = authed_session(node)
+    a = call(node, s, "get_roots", dataset="people")["roots"][0]["handle"]
+    x1 = call(node, s, "unop", kind="shift", handle=a, c=1.0)["handle"]
+    half = call(node, s, "unop", kind="scale", handle=x1, c=0.5)["handle"]
+    before = len(node.store._objects)
+    t0 = time.perf_counter()
+    resp = call(node, s, "unop", kind="pow", handle=half, k=16384)
+    elapsed = time.perf_counter() - t0
+    assert resp["error"]["code"] == "term_limit", resp
+    assert elapsed < 1.0, f"refused after {elapsed:.2f}s"
+    assert len(node.store._objects) == before
+    assert call(node, s, "unop", kind="pow", handle=half, k=256)["meta"]["terms"] == 257
     node.close()
 
 

@@ -35,8 +35,8 @@ xA, xB, xC = (Polynomial.variable(v) for v in (A, B, C))
 def test_variable_and_constant_evaluate():
     assert xA.evaluate({A: 7.0}) == 7.0
     assert Polynomial.constant(3.5).evaluate({}) == 3.5
-    assert Polynomial.zero().evaluate({}) == 0.0
-    assert Polynomial.zero().is_zero()
+    assert Polynomial().evaluate({}) == 0.0
+    assert Polynomial().term_count == 0
 
 
 def test_known_polynomial_value():
@@ -44,9 +44,7 @@ def test_known_polynomial_value():
     f = xA.mul(xA).mul(xB).scale(2.0) + xB.scale(3.0)
     assert f.evaluate({A: 2.0, B: 5.0}) == 55.0
     assert f.degree() == 3
-    assert f.degree_in(A) == 2
-    assert f.degree_in(B) == 1
-    assert f.degree_in(C) == 0
+    assert [max(m.degree_in(v) for m, _ in f.items()) for v in (A, B, C)] == [2, 1, 0]
     assert f.term_count == 2
     assert f.variables() == {A, B}
 
@@ -58,23 +56,23 @@ def test_known_partial_derivative():
     assert to_terms(df) == [(4.0, {"A": 1, "B": 1})]
     assert df.evaluate({A: -3.0, B: 2.0}) == -24.0
     # derivative with respect to an absent variable is zero
-    assert f.partial(C).is_zero()
+    assert f.partial(C) == Polynomial()
 
 
 def test_cancellation_drops_terms():
     f = xA + xB
     g = f - xB
     assert g == xA
-    assert (f - f).is_zero()
+    assert f - f == Polynomial()
     assert (f - f).term_count == 0
 
 
 def test_text_form():
     f = xA.mul(xB).scale(2.0) + Polynomial.constant(3.0)
     assert str(f) == "2*x[A]*x[B] + 3"
-    assert str(Polynomial.zero()) == "0"
+    assert str(Polynomial()) == "0"
     assert str(xA - xB.scale(2.0)) in ("x[A] - 2*x[B]", "- 2*x[B] + x[A]")
-    assert str(Monomial.of({A: 2, B: 1})) == "x[A]^2*x[B]"
+    assert str(Monomial(((A, 2), (B, 1)))) == "x[A]^2*x[B]"
 
 
 def test_sorted_terms_graded_lex():
@@ -158,14 +156,6 @@ def test_non_finite_coefficients_rejected():
         xA.scale(math.inf)
 
 
-def test_monomial_of_rejects_bad_exponents():
-    with pytest.raises(ValueError):
-        Monomial.of({A: -1})
-    with pytest.raises(ValueError):
-        Monomial.of({A: 1.5})  # type: ignore[dict-item]
-    assert Monomial.of({A: 0}) == Monomial.unit()
-
-
 def test_power_validation():
     assert xA.power(0) == Polynomial.constant(1.0)
     with pytest.raises(ValueError):
@@ -180,7 +170,7 @@ def test_term_limit_enforced(monkeypatch):
         with pytest.raises(TermLimitError):
             f.mul(f)
     # and the default cap stops runaway blowup: (x1+..+x24)^8 has C(31,7) ~ 2.6e6 terms
-    many = Polynomial.zero()
+    many = Polynomial()
     vs = [Polynomial.variable(VarId(f"v{i}")) for i in range(24)]
     for v in vs:
         many = many + v
@@ -201,7 +191,7 @@ def poly_strategy(vars_=(A, B, C), max_terms=4, max_exp=2):
     term = st.tuples(coeffs, mono)
 
     def build(terms):
-        p = Polynomial.zero()
+        p = Polynomial()
         for c, powers in terms:
             p = p + _term(c, powers)
         return p
@@ -224,10 +214,10 @@ def test_ring_laws(p, q, r):
     assert p.mul(q) == q.mul(p)
     assert p.mul(q).mul(r) == p.mul(q.mul(r))
     assert p.mul(q + r) == p.mul(q) + p.mul(r)
-    assert p + Polynomial.zero() == p
+    assert p + Polynomial() == p
     assert p.mul(Polynomial.constant(1.0)) == p
-    assert p.mul(Polynomial.zero()).is_zero()
-    assert (p - p).is_zero()
+    assert p.mul(Polynomial()) == Polynomial()
+    assert p - p == Polynomial()
 
 
 @settings(max_examples=120, deadline=None)
@@ -288,7 +278,8 @@ def test_varids_sort_by_entity_then_attribute(vs):
 def _monomials():
     """Monomials over a few short entity names, often disjoint and in order."""
     var = st.builds(VarId, st.text("ABCD", max_size=2), st.sampled_from(["", "x"]))
-    return st.dictionaries(var, st.integers(1, 3), max_size=4).map(Monomial.of)
+    powers = st.dictionaries(var, st.integers(1, 3), max_size=4)
+    return powers.map(lambda p: Monomial(tuple(sorted(p.items()))))
 
 
 @settings(max_examples=300, deadline=None)
@@ -311,12 +302,12 @@ def test_key_records_hash_as_their_field_tuples():
 
 
 def test_tuple_records_gain_no_arithmetic():
-    m = Monomial.of({A: 1})
+    m = Monomial(((A, 1),))
     i = Interval(0.0, 1.0)
     for op in (lambda: m + m, lambda: 2 * m, lambda: i + i, lambda: 2 * i):
         with pytest.raises(TypeError):
             op()
-    assert m * m == Monomial.of({A: 2})
+    assert m * m == Monomial(((A, 2),))
 
 
 # -- interval ranges ------------------------------------------------------------------
@@ -328,7 +319,6 @@ def test_interval_primitives():
     assert i.power(3) == Interval(-27.0, 8.0)     # odd power is monotone
     assert Interval(1.0, 2.0).power(2) == Interval(1.0, 4.0)
     assert Interval(-3.0, -1.0).power(2) == Interval(1.0, 9.0)
-    assert i.abs_max() == 3.0
     assert Interval(-1.0, 2.0) * Interval(3.0, 4.0) == Interval(-4.0, 8.0)
     assert Interval(1.0, 2.0).hull_with(0.0) == Interval(0.0, 2.0)
     assert Interval(1.0, 2.0).hull_with(1.5) == Interval(1.0, 2.0)

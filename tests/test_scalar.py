@@ -116,8 +116,8 @@ def test_same_entity_different_attribute_is_distinct():
     weight = PrivateScalar.make_private("A", 70.0, 0.0, 300.0, attribute="kg")
     combined = age + weight
     assert combined.value() == 100.0
-    assert len(combined.entities()) == 2
-    assert {v.attribute for v in combined.entities()} == {"age", "kg"}
+    assert len(combined.inputs) == 2
+    assert {v.attribute for v in combined.inputs} == {"age", "kg"}
 
 
 def test_cancellation_keeps_participation_record():
@@ -125,8 +125,8 @@ def test_cancellation_keeps_participation_record():
     g = (a + b) - b
     assert g.value() == 5.0
     # the polynomial lost B but the scalar still remembers B took part
-    assert VarId("B") in g.entities()
-    assert g.poly.degree_in(VarId("B")) == 0
+    assert VarId("B") in g.inputs
+    assert VarId("B") not in g.poly.variables()
 
 
 # -- operator surface -----------------------------------------------------------------
@@ -149,11 +149,11 @@ def test_public_constant_mixing():
 def test_from_public_and_sum():
     c = PrivateScalar.from_public(4.0)
     assert c.value() == 4.0
-    assert c.entities() == frozenset()
+    assert c.inputs == {}
     parts = [mk(f"e{i}", float(i), 0.0, 100.0) for i in range(5)]
     total = sum_scalars(parts)
     assert total.value() == 0.0 + 1 + 2 + 3 + 4
-    assert len(total.entities()) == 5
+    assert len(total.inputs) == 5
     assert sum_scalars([]).value() == 0.0
 
 
@@ -303,10 +303,10 @@ def test_cancelled_top_term_lowers_the_cached_degree():
     assert (left.degree(), right.degree()) == (2, 2)  # both operands' degrees cached
     total = left + right
     assert total.degree() == 1
-    assert list(total.poly.items()) == [(Monomial.of({VarId("Y"): 1}), 1.0)]
+    assert list(total.poly.items()) == [(Monomial(((VarId("Y"), 1),)), 1.0)]
     assert_canonical(total)
     zero = x + (-x)
-    assert zero.poly.is_zero() and zero.degree() == 0
+    assert zero.poly == Polynomial() and zero.degree() == 0
     assert list(zero.inputs) == [VarId("X")]
     assert_canonical(zero)
     assert sum_scalars([x, -x]).degree() == 0
@@ -323,7 +323,7 @@ def test_public_constructor_keeps_its_checks():
     with pytest.raises(TypeError):
         PrivateScalar(a.poly, {VarId("A"): (1.0, 0.0, 2.0)})
     with pytest.raises(NonFiniteError):
-        Polynomial({Monomial.unit(): math.inf})
+        Polynomial({Monomial(): math.inf})
 
 
 def test_left_fold_with_meta_after_each_step_does_linear_work(monkeypatch):
@@ -388,9 +388,8 @@ def test_box_and_assignment():
     box = f.box()
     assert box[VarId("A")].hi == 122.0
     assert box[VarId("B")].lo == -1.0
-    assign = f.clipped_assignment()
-    assert assign[VarId("A")] == 122.0
-    assert assign[VarId("B")] == 3.0
+    assert f.inputs[VarId("A")].clipped == 122.0
+    assert f.inputs[VarId("B")].clipped == 3.0
 
 
 def test_degree_and_terms():

@@ -91,7 +91,6 @@ def test_full_scenario(tmp_path, live):
     assert "people" not in report.bindings  # scalars are not reportable
     assert len(report.budget_trajectory) == 2
     assert report.budget_trajectory[0]["min_remaining"] == 2.0
-    assert report.summary_lines()
 
 
 def test_ops_and_bindings(tmp_path, live):

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import corner_fold_max_abs, corner_max_abs, diff_terms, eval_terms, grid_max_abs
-from conftest import random_scalar, to_box, to_terms
+from conftest import clipped_values, random_scalar, to_box, to_terms
 from pscalar.accounting import spend_for_publish
 from pscalar.poly import Interval, Monomial, NonFiniteError, Polynomial, VarId
 from pscalar.scalar import EntityInput, PrivateScalar, UnknownEntityError, sum_scalars
@@ -86,32 +86,26 @@ def test_interval_sound_example():
 
 
 def test_include_origin_extends_only_that_entity():
-    # f = (A-3)^2 = A^2 - 6A + 9 over A in [1, 2]: slope 2A-6
-    #   plain box:  max(|2-6|, |4-6|) = 4
-    #   with origin: corner 0 gives |0-6| = 6
+    # f = (A-3)^2 = A^2 - 6A + 9 over A in [1, 2]: slope 2A-6, whose largest
+    # |.| over A's own range hulled through 0 is |0-6| = 6 (over [1, 2]: 4)
     f = (mk("A", 1.5, 1.0, 2.0) + PrivateScalar.from_public(-3.0)) ** 2
-    assert lipschitz_bound(f, A).bound == 4.0
-    assert lipschitz_bound(f, A, include_origin=True).bound == 6.0
+    assert lipschitz_bound(f, A).bound == 6.0
 
 
 def test_include_origin_leaves_other_entities_alone():
     # f = A*B, A in [2, 4], B in [1, 5].  Slope in A is B; widening A's own
     # box through 0 must not touch B's box, so the bound stays 5.
     f = mk("A", 3.0, 2.0, 4.0) * mk("B", 2.0, 1.0, 5.0)
-    plain = lipschitz_bound(f, A)
-    hulled = lipschitz_bound(f, A, include_origin=True)
-    assert plain.bound == hulled.bound == 5.0
-    # but the slope in B (which is A) DOES see A's widened box... only when
-    # the perturbed coordinate is A.  Perturbing B widens B's box alone:
-    res_b = lipschitz_bound(f, B, include_origin=True)
+    assert lipschitz_bound(f, A).bound == 5.0
+    # the slope in B (which is A) sees only B's own box widened, not A's
+    res_b = lipschitz_bound(f, B)
     assert res_b.bound == 4.0  # sup |A| over the untouched [2, 4]
 
 
 def test_degenerate_width_zero_box():
+    # widening B's own box through 0 does not change the slope in B
     f = mk("A", 5.0, 5.0, 5.0) * mk("B", 1.0, 0.0, 2.0)
     assert lipschitz_bound(f, B).bound == 5.0
-    # widening B's own box does not change the slope in B
-    assert lipschitz_bound(f, B, include_origin=True).bound == 5.0
 
 
 def test_absent_and_cancelled_entities():
@@ -162,7 +156,7 @@ def test_square_of_sum_matches_closed_form(k):
     for i in (0, 1, k - 1):
         los = [min(lo, 0.0) if j == i else lo for j, (lo, _) in enumerate(bounds)]
         his = [max(hi, 0.0) if j == i else hi for j, (_, hi) in enumerate(bounds)]
-        res = lipschitz_bound(f, VarId(f"s{i}"), include_origin=True)
+        res = lipschitz_bound(f, VarId(f"s{i}"))
         assert res.strategy == VERTEX_EXACT and res.exact
         assert res.bound == 2.0 * max(abs(sum(los)), abs(sum(his)))
 
@@ -192,17 +186,13 @@ def test_bounds_dominate_grid_suprema():
     for _ in range(60):
         scalar = random_scalar(rnd)
         terms = to_terms(scalar.poly)
-        for entity in sorted(scalar.entities()):
-            for origin in (False, True):
-                res = lipschitz_bound(scalar, entity, include_origin=origin)
-                box = to_box(scalar, include_origin=False)
-                lo, hi = box[entity.label()]
-                if origin:
-                    box[entity.label()] = (min(lo, 0.0), max(hi, 0.0))
-                sup = grid_max_abs(diff_terms(terms, entity.label()), box, 21)
-                assert res.bound >= sup - 1e-9 * max(1.0, sup), (
-                    str(scalar.poly), entity.label(), res, sup
-                )
+        for entity in sorted(scalar.inputs):
+            res = lipschitz_bound(scalar, entity)
+            box = to_box(scalar, hulled=entity)
+            sup = grid_max_abs(diff_terms(terms, entity.label()), box, 21)
+            assert res.bound >= sup - 1e-9 * max(1.0, sup), (
+                str(scalar.poly), entity.label(), res, sup
+            )
 
 
 def test_exact_bounds_match_corner_oracle():
@@ -213,11 +203,11 @@ def test_exact_bounds_match_corner_oracle():
     for _ in range(80):
         scalar = random_scalar(rnd, max_power=1)  # multilinear queries
         terms = to_terms(scalar.poly)
-        for entity in sorted(scalar.entities()):
+        for entity in sorted(scalar.inputs):
             res = lipschitz_bound(scalar, entity)
             if not res.exact:
                 continue
-            box = to_box(scalar)
+            box = to_box(scalar, hulled=entity)
             sup = corner_max_abs(diff_terms(terms, entity.label()), box)
             assert res.bound == pytest.approx(sup, rel=1e-12, abs=1e-12)
             checked += 1
@@ -227,22 +217,17 @@ def test_exact_bounds_match_corner_oracle():
 def test_vertex_exact_matches_corner_oracle_up_to_ten_live_variables():
     rnd = random.Random(1618)
     checked = 0
-    for _ in range(20):
+    for _ in range(40):
         scalar = random_scalar(rnd, max_vars=11, max_terms=24, max_power=1)
         terms = to_terms(scalar.poly)
-        for entity in sorted(scalar.entities()):
-            for origin in (False, True):
-                res = lipschitz_bound(scalar, entity, include_origin=origin)
-                if res.strategy != VERTEX_EXACT:
-                    continue
-                box = to_box(scalar)
-                if origin:
-                    lo, hi = box[entity.label()]
-                    box[entity.label()] = (min(lo, 0.0), max(hi, 0.0))
-                sup = corner_max_abs(diff_terms(terms, entity.label()), box)
-                assert res.exact
-                assert res.bound == pytest.approx(sup, rel=1e-12, abs=1e-12)
-                checked += 1
+        for entity in sorted(scalar.inputs):
+            res = lipschitz_bound(scalar, entity)
+            if res.strategy != VERTEX_EXACT:
+                continue
+            sup = corner_max_abs(diff_terms(terms, entity.label()), to_box(scalar, hulled=entity))
+            assert res.exact
+            assert res.bound == pytest.approx(sup, rel=1e-12, abs=1e-12)
+            checked += 1
     assert checked > 100
 
 
@@ -252,8 +237,8 @@ def test_bound_depends_only_on_public_data():
 
     f1, f2 = build(1.0, 2.0), build(99.0, -555.0)
     for entity in (A, B):
-        r1 = lipschitz_bound(f1, entity, include_origin=True)
-        r2 = lipschitz_bound(f2, entity, include_origin=True)
+        r1 = lipschitz_bound(f1, entity)
+        r2 = lipschitz_bound(f2, entity)
         assert r1 == r2  # bit-identical: values never enter the computation
 
 
@@ -262,10 +247,10 @@ def test_empirical_slope_soundness():
     rnd = random.Random(979)
     for _ in range(30):
         scalar = random_scalar(rnd, max_vars=3, max_terms=4)
-        entities = sorted(scalar.entities())
+        entities = sorted(scalar.inputs)
         box = scalar.box()
         for entity in entities:
-            res = lipschitz_bound(scalar, entity, include_origin=True)
+            res = lipschitz_bound(scalar, entity)
             iv = box[entity].hull_with(0.0)
             for _ in range(20):
                 point = {v: rnd.uniform(box[v].lo, box[v].hi) for v in entities}
@@ -282,9 +267,9 @@ def test_removal_shift_bounded_by_spend_ingredients():
     rnd = random.Random(551)
     for _ in range(40):
         scalar = random_scalar(rnd, max_vars=3)
-        assign = scalar.clipped_assignment()
-        for entity in sorted(scalar.entities()):
-            res = lipschitz_bound(scalar, entity, include_origin=True)
+        assign = clipped_values(scalar)
+        for entity in sorted(scalar.inputs):
+            res = lipschitz_bound(scalar, entity)
             removed = {**assign, entity: 0.0}
             shift = abs(scalar.poly.evaluate(assign) - scalar.poly.evaluate(removed))
             allowed = res.bound * abs(assign[entity])
@@ -295,34 +280,38 @@ def test_removal_shift_bounded_by_spend_ingredients():
 
 
 def test_bounds_are_bit_identical_to_the_per_entity_recomputation():
-    # 400 seeds x three query shapes; every entity without and then with the
-    # origin on one scalar.  The digest was taken from the version that
-    # recomputed degree, box and the full partial for every entity.
+    # 400 seeds x three query shapes; every entity's removal bound on one
+    # scalar.  The digest was taken from the version that recomputed degree,
+    # box and the full partial for every entity.
     lines = []
     for seed in range(400):
         rnd = random.Random(seed)
         for kwargs in ({}, {"max_power": 1}, {"allow_negative_floor": False}):
             scalar = random_scalar(rnd, **kwargs)
-            for origin in (False, True):
-                for entity in sorted(scalar.inputs):
-                    res = lipschitz_bound(scalar, entity, include_origin=origin)
-                    lines.append(f"{res.bound.hex()} {res.strategy} {res.exact}")
-    assert len(lines) == 5516
+            for entity in sorted(scalar.inputs):
+                res = lipschitz_bound(scalar, entity)
+                lines.append(f"{res.bound.hex()} {res.strategy} {res.exact}")
+    assert len(lines) == 2758
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == "47024d2fd2b8012fea90e91761a1249f1763b268c5512a6dce4a35023a7a8747"
+    assert digest == "596299e0f3423623b33933c4415d61517f1c15c4c7ed1899b26f5bed30982a12"
 
 
-def _reference_bound(scalar, entity, include_origin):
+def _reference_bound(scalar, entity):
     """(bound, strategy, exact) as one entity's own partial gives them, route by route.
 
-    Raises NonFiniteError where the partial or its route overflows a float.
+    Raises NonFiniteError where the query's value at the largest |x| of each
+    variable, with every coefficient made positive, overflows a float, as it
+    does where some point of the box overflows ``evaluate``, or where the
+    partial or its route overflows.
     """
     poly, box = scalar.poly, scalar.box()
+    magnitudes = Polynomial({m: abs(c) for m, c in poly.items()})
+    magnitudes.evaluate({v: max(abs(iv.lo), abs(iv.hi)) for v, iv in box.items()})
     d = poly.partial(entity)
     if poly.degree() <= 1:
         return abs(d.evaluate({})), FIRST_DEGREE, True
     dbox = {v: box[v] for v in d.variables()}
-    if include_origin and entity in dbox:
+    if entity in dbox:
         dbox[entity] = dbox[entity].hull_with(0.0)
     if all(c >= 0 for _, c in poly.items()) and all(box[v].lo >= 0 for v in poly.variables()):
         return d.evaluate({v: iv.hi for v, iv in dbox.items()}), MONOTONE_CEILING, True
@@ -336,7 +325,8 @@ def _reference_bound(scalar, entity, include_origin):
         if not math.isfinite(sup):
             raise NonFiniteError("a corner value overflows a float")
         return sup, VERTEX_EXACT, True
-    return d.range_over(dbox).abs_max(), INTERVAL_SOUND, False
+    r = d.range_over(dbox)
+    return max(abs(r.lo), abs(r.hi)), INTERVAL_SOUND, False
 
 
 @st.composite
@@ -371,7 +361,7 @@ def _sweep_scalars(draw):
     terms = {}
     for _ in range(draw(st.integers(1, 8))):
         chosen = draw(st.lists(st.sampled_from(variables), max_size=len(variables), unique=True))
-        m = Monomial.of({v: draw(exponent) for v in chosen})
+        m = Monomial(tuple((v, draw(exponent)) for v in sorted(chosen)))
         c = draw(coefficient.filter(lambda c: c != 0.0))
         terms[m] = abs(c) if monotone else c
     used = Polynomial(terms).variables()
@@ -383,28 +373,28 @@ def _sweep_scalars(draw):
 
 def _overflow_then_zero_width():
     # the slope in A, 1e300*B^2*C, overflows at B on the interval route; C's
-    # zero-width box must not turn that inf into a nan that min and max drop
-    a, b, c = mk("A", 1.0, -1.0, 1.0), mk("B", 1.0, -1e10, 1e10), mk("C", 0.0, 0.0, 0.0)
+    # zero-width box must not turn that inf into a nan that min and max drop.
+    # A's tiny box keeps the value itself, 1e300*A*B^2*C, a float everywhere.
+    a, b, c = mk("A", 0.0, -1e-30, 1e-30), mk("B", 1.0, -1e10, 1e10), mk("C", 0.0, 0.0, 0.0)
     return (a * b ** 2 * c).scale(1e300)
 
 
 @settings(max_examples=300, deadline=None)
-@given(_sweep_scalars(), st.booleans())
-@example(_overflow_then_zero_width(), False)
-def test_swept_bounds_match_each_entitys_own_partial(scalar, first_origin):
+@given(_sweep_scalars())
+@example(_overflow_then_zero_width())
+def test_swept_bounds_match_each_entitys_own_partial(scalar):
     # the sweep bounds every entity of a scalar at once and keeps the results;
     # each must equal, bit for bit, what that entity's own partial gives, and
     # one entity's overflow must not touch another's bound
-    for origin in (first_origin, not first_origin):
-        for entity in sorted(scalar.inputs):
-            try:
-                want = _reference_bound(scalar, entity, origin)
-            except NonFiniteError:
-                with pytest.raises(NonFiniteError):
-                    lipschitz_bound(scalar, entity, include_origin=origin)
-                continue
-            res = lipschitz_bound(scalar, entity, include_origin=origin)
-            assert (res.bound.hex(), res.strategy, res.exact) == (want[0].hex(), *want[1:])
+    for entity in sorted(scalar.inputs):
+        try:
+            want = _reference_bound(scalar, entity)
+        except NonFiniteError:
+            with pytest.raises(NonFiniteError):
+                lipschitz_bound(scalar, entity)
+            continue
+        res = lipschitz_bound(scalar, entity)
+        assert (res.bound.hex(), res.strategy, res.exact) == (want[0].hex(), *want[1:])
 
 
 def _mixed_floors():
@@ -423,21 +413,18 @@ def _positive_floors():
 @pytest.mark.parametrize("build", [_mixed_floors, _positive_floors])
 def test_shared_facts_never_carry_one_entitys_hull(build):
     entities = sorted(build().inputs)
-    fresh = {
-        (e, origin): lipschitz_bound(build(), e, include_origin=origin)
-        for e in entities
-        for origin in (False, True)
-    }
-    shared = build()
+    fresh = {e: lipschitz_bound(build(), e) for e in entities}
     for order in (entities, entities[::-1]):
-        for i, e in enumerate(order):
-            for origin in (i % 2 == 0, i % 2 == 1):
-                assert lipschitz_bound(shared, e, include_origin=origin) == fresh[e, origin]
-    assert shared.box() == build().box()
+        shared = build()
+        for e in order:
+            assert lipschitz_bound(shared, e) == fresh[e]
+        assert shared.box() == build().box()
+    # each bound is the one over that entity's own hull alone
+    for e in entities:
+        assert fresh[e] == (e, *_reference_bound(build(), e))
     routes = {res.strategy for res in fresh.values()}
-    moved = [e for e in entities if fresh[e, False] != fresh[e, True]]
     if build is _mixed_floors:
-        assert routes == {VERTEX_EXACT, INTERVAL_SOUND} and moved == [B, VarId("C")]
+        assert routes == {VERTEX_EXACT, INTERVAL_SOUND}
     else:
         assert routes == {MONOTONE_CEILING}
 
@@ -472,7 +459,7 @@ def test_first_degree_bounds_read_one_coefficient_map(monkeypatch):
     n = 500
     roots = [mk(f"u{i:03d}", float(i), -3.0, 600.0) for i in range(n)]
     query = sum_scalars(r.scale(1.0 + i % 7) for i, r in enumerate(roots)).shift(2.0)
-    calls = {"box": 0, "of": 0}
+    calls = {"box": 0, "degree_in": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -482,11 +469,11 @@ def test_first_degree_bounds_read_one_coefficient_map(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(PrivateScalar, "box", counted("box", PrivateScalar.box))
-    monkeypatch.setattr(Monomial, "of", classmethod(counted("of", Monomial.of.__func__)))
-    bounds = [lipschitz_bound(query, v, include_origin=True) for v in sorted(query.inputs)]
+    monkeypatch.setattr(Monomial, "degree_in", counted("degree_in", Monomial.degree_in))
+    bounds = [lipschitz_bound(query, v) for v in sorted(query.inputs)]
     assert [b.bound for b in bounds] == [1.0 + i % 7 for i in range(n)]
     assert {b.strategy for b in bounds} == {FIRST_DEGREE}
-    assert calls == {"box": 0, "of": 0}
+    assert calls == {"box": 0, "degree_in": 0}
 
 
 def test_multilinear_guard_takes_one_pass_over_the_slope(monkeypatch):
@@ -505,9 +492,8 @@ def test_multilinear_guard_takes_one_pass_over_the_slope(monkeypatch):
         return real(self, v)
 
     monkeypatch.setattr(Monomial, "degree_in", traced)
-    for origin in (False, True):
-        for v in sorted(query.inputs):
-            assert lipschitz_bound(query, v, include_origin=origin).strategy == VERTEX_EXACT
+    for v in sorted(query.inputs):
+        assert lipschitz_bound(query, v).strategy == VERTEX_EXACT
     assert callers == []
 
 
@@ -571,7 +557,7 @@ def test_square_of_sum_at_the_cap_bounds_every_entity_in_linear_time():
     total = sum_scalars(mk(f"s{j:02d}", 1.0, lo, hi) for j, (lo, hi) in enumerate(bounds))
     f = total * total
     t0 = time.perf_counter()
-    results = [lipschitz_bound(f, v, include_origin=True) for v in sorted(f.inputs)]
+    results = [lipschitz_bound(f, v) for v in sorted(f.inputs)]
     elapsed = time.perf_counter() - t0
     assert {r.strategy for r in results} == {VERTEX_EXACT}
     assert elapsed < 0.2, f"{elapsed:.3f}s for {VERTEX_CAP} entities"
