@@ -12,12 +12,13 @@ is computed only for a refusal's projected epsilon and the remaining budget.
 from __future__ import annotations
 
 import contextlib
-import datetime
+import functools
 import math
 import re
 import struct
 import sys
 import threading
+import time
 from operator import attrgetter
 from pathlib import Path
 
@@ -32,6 +33,8 @@ _CALIBRATION_ULP_STEPS = 64
 SIGMA_MIN, SIGMA_MAX = 1e-6, 1e9
 #: What a journal field cannot hold: the field separator and each break of str.splitlines.
 JOURNAL_UNSAFE = re.compile("[\t\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
+# what next_publish_id hands out
+_PUBLISH_ID = re.compile("p[0-9]+")
 
 
 class LedgerError(ValueError):
@@ -142,8 +145,30 @@ def spend_for_publish(scalar: PrivateScalar, sigma: float) -> list[RdpSpend]:
     return spends
 
 
+@functools.lru_cache(maxsize=1)
+def _second_text(second: int) -> str:
+    return "%04d-%02d-%02dT%02d:%02d:%02d" % time.gmtime(second)[:6]
+
+
+def _iso_utc(ns: int) -> str:
+    """``ns`` nanoseconds after the epoch as datetime's UTC ``isoformat(timespec="microseconds")``.
+
+    Microseconds are floored, as ``datetime.now`` floors the clock.
+    """
+    second, micros = divmod(ns // 1000, 1_000_000)
+    return f"{_second_text(second)}.{micros:06d}+00:00"
+
+
 def _now_iso() -> str:
-    return datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="microseconds")
+    return _iso_utc(time.time_ns())
+
+
+def _write_all(file, data: bytes) -> None:
+    """Append ``data`` to an unbuffered binary file, one ``write(2)`` unless it comes up short."""
+    written = file.write(data)
+    while written < len(data):
+        data = data[written:]
+        written = file.write(data)
 
 
 class PrivacyLedger:
@@ -154,9 +179,9 @@ class PrivacyLedger:
 
     Journal format: one tab-separated record per line,
     ``publish_id<TAB>entity<TAB>rho<TAB>timestamp`` with rho printed to 17
-    significant digits so replay reconstructs the exact float state.  Records
-    are flushed to the journal before any caller can observe the new state,
-    which keeps crash recovery conservative.
+    significant digits so replay reconstructs the exact float state.  Each
+    record is one unbuffered append, made before any caller can observe the
+    new state, which keeps crash recovery conservative.
     """
 
     REAL = "real"
@@ -177,12 +202,12 @@ class PrivacyLedger:
             if self.journal_path.exists():
                 self._replay_lines(self.journal_path.read_text(encoding="utf-8"))
             self.journal_path.parent.mkdir(parents=True, exist_ok=True)
-            self._journal = open(self.journal_path, "a", encoding="utf-8")
+            self._journal = open(self.journal_path, "ab", buffering=0)
 
     # -- replay -----------------------------------------------------------------
 
     def _replay_lines(self, text: str) -> None:
-        seen_ids: dict[str, None] = {}
+        last_id = None
         for lineno, line in enumerate(text.splitlines(), start=1):
             if not line.strip():
                 continue
@@ -197,8 +222,10 @@ class PrivacyLedger:
             except ValueError:
                 raise LedgerError(f"journal line {lineno}: bad rho {rho_text!r}") from None
             self._cumulative[entity] = self._cumulative.get(entity, 0.0) + rho
-            seen_ids[publish_id] = None
-        self._seq = len(seen_ids)
+            # ids may skip numbers (a refused record used one up): resume after the largest
+            if publish_id != last_id and _PUBLISH_ID.fullmatch(publish_id):
+                self._seq = max(self._seq, int(publish_id[1:]))
+            last_id = publish_id
 
     @classmethod
     def replayed(cls, journal_path: str | Path) -> "PrivacyLedger":
@@ -262,8 +289,7 @@ class PrivacyLedger:
                 self._cumulative[entity] = self._cumulative.get(entity, 0.0) + s.rho
                 lines.append(f"{publish_id}\t{entity}\t{s.rho:.17g}\t{ts}\n")
             if self._journal is not None and lines:
-                self._journal.write("".join(lines))
-                self._journal.flush()
+                _write_all(self._journal, "".join(lines).encode("utf-8"))
 
     def fork_simulated(self) -> "PrivacyLedger":
         """Independent deep copy for what-if exploration; never journals."""

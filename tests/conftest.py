@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import os
 import random
 from pathlib import Path
@@ -73,3 +74,21 @@ def random_scalar(
 @pytest.fixture
 def rng():
     return random.Random(20260817)
+
+
+class RawSink(io.RawIOBase):
+    """A raw file that keeps what it is given: at most ``limit`` bytes per write, or an error."""
+
+    def __init__(self, limit=None, fail=False):
+        self.data, self.calls, self.limit, self.fail = bytearray(), 0, limit, fail
+
+    def writable(self):
+        return True
+
+    def write(self, b):
+        self.calls += 1
+        if self.fail:
+            raise OSError(28, "No space left on device")
+        taken = bytes(b[: self.limit])
+        self.data += taken
+        return len(taken)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import datetime
 import math
 import random
 import time
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_scalar
+from conftest import RawSink, random_scalar
 from oracles import analytic_rho_for_eps, analytic_sigma, closed_form_eps, golden_eps, rho_cap
 from pscalar import accounting
 from pscalar.accounting import (
@@ -272,6 +273,84 @@ def test_ledger_refuses_an_entity_id_its_journal_cannot_hold(tmp_path, bad):
     assert (path.read_text(), led.cumulative, led.snapshot_bytes()) == (journal, totals, snapshot)
     led.close()
     assert PrivacyLedger.replayed(path).snapshot_bytes() == snapshot
+
+
+def test_publish_ids_never_repeat_across_a_restart(tmp_path):
+    # a refused record has used up its id; replay resumes after the largest id it read
+    from pscalar.mechanism import GaussianNoiseSource, publish
+
+    path = tmp_path / "ledger.log"
+    pol, noise = BudgetPolicy(eps_cap=2.0, delta=1e-6), GaussianNoiseSource(seed=1)
+    led = PrivacyLedger(journal_path=path)
+    ids = [publish(mk("a", 1.0, 0.0, 1.0), 10.0, led, pol, noise).publish_id]
+    with pytest.raises(LedgerError):
+        publish(mk("b\tc", 1.0, 0.0, 1.0), 10.0, led, pol, noise)
+    ids.append(publish(mk("a", 1.0, 0.0, 1.0), 10.0, led, pol, noise).publish_id)
+    led.close()
+    led = PrivacyLedger(journal_path=path)
+    ids.append(publish(mk("a", 1.0, 0.0, 1.0), 10.0, led, pol, noise).publish_id)
+    led.close()
+    assert len(set(ids)) == 3
+    assert [line.split("\t")[0] for line in path.read_text().splitlines()] == ids
+
+
+def test_journal_records_land_whole_through_short_writes(tmp_path):
+    path = tmp_path / "ledger.log"
+    led = PrivacyLedger(journal_path=path)
+    led.record([_spend("A", 1.0 / 3.0), _spend("B", 0.1)], led.next_publish_id())
+    led._journal.close()
+    for limit in (None, 3):
+        led._journal = sink = RawSink(limit)
+        led.record([_spend("A", 0.2), _spend("\u00e9", 0.5)], led.next_publish_id())
+        led.record([_spend("B", 0.7)], led.next_publish_id())
+        lines = sink.data.decode("utf-8").splitlines(keepends=True)
+        # one write per record, or per three bytes of it when writes come up short
+        records = ["".join(lines[:2]).encode(), lines[2].encode()]
+        assert sink.calls == (2 if limit is None else sum(-(-len(r) // 3) for r in records))
+        n = 2 if limit is None else 4
+        assert [line.split("\t")[:3] for line in lines] == [
+            [f"p{n:06d}", "A", "%.17g" % 0.2],
+            [f"p{n:06d}", "\u00e9", "0.5"],
+            [f"p{n + 1:06d}", "B", "%.17g" % 0.7],
+        ]
+        with open(path, "ab") as f:
+            f.write(sink.data)
+    assert PrivacyLedger.replayed(path).snapshot_bytes() == led.snapshot_bytes()
+    led._journal = RawSink(fail=True)
+    with pytest.raises(OSError, match="No space left"):
+        led.record([_spend("A", 0.1)], led.next_publish_id())
+
+
+def _datetime_iso(ns):
+    epoch = datetime.datetime(1970, 1, 1, tzinfo=datetime.timezone.utc)
+    return (epoch + datetime.timedelta(microseconds=ns // 1000)).isoformat(timespec="microseconds")
+
+
+_LAST_NS_OF_9999 = 253_402_300_799_999_999_999
+
+
+def test_iso_text_matches_datetime_across_boundaries():
+    # each pair steps over a second, a day, a year or a leap day, in order, so
+    # the cached second must be replaced at every step
+    edges = [
+        0, 999, 1_000, 999_999_999, 1_000_000_000,
+        86_399_999_999_999, 86_400_000_000_000,
+        946_684_799_999_999_000, 946_684_800_000_000_000,
+        951_782_399_999_999_999, 951_782_400_000_000_000,
+        1_704_067_199_999_999_999, 1_704_067_200_000_000_000,
+        _LAST_NS_OF_9999,
+    ]
+    assert [accounting._iso_utc(ns) for ns in edges] == [_datetime_iso(ns) for ns in edges]
+    before = datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="microseconds")
+    now = accounting._now_iso()
+    after = datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="microseconds")
+    assert before <= now <= after
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=_LAST_NS_OF_9999))
+def test_iso_text_matches_datetime(ns):
+    assert accounting._iso_utc(ns) == _datetime_iso(ns)
 
 
 def test_ledger_rejects_malformed_journal(tmp_path):

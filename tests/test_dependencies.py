@@ -34,8 +34,11 @@ def test_importing_the_package_leaves_numpy_unloaded():
 
 
 # Modules that starting a node must not load: dataclasses pulls in inspect and
-# ast, the client and script modules are analyst-side, and secrets loads OpenSSL.
-OFF_START_PATH = ("dataclasses", "pscalar.client", "pscalar.script", "secrets", "hashlib")
+# ast, the client and script modules are analyst-side, secrets loads OpenSSL,
+# and the node's timestamps need no datetime.
+OFF_START_PATH = (
+    "dataclasses", "pscalar.client", "pscalar.script", "secrets", "hashlib", "datetime"
+)
 
 START_PATH_PROBE = f"""
 import sys, pscalar, pscalar.cli

@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import itertools
 import json
+import re
 import signal
 import socket
 import struct
@@ -14,7 +15,10 @@ import threading
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from conftest import RawSink
 from oracles import rho_cap
 from pscalar import cli
 from pscalar.cli import node_main
@@ -26,6 +30,7 @@ from pscalar.node import (
     NodeConfig,
     NodeSession,
     NodeTCPServer,
+    UserAccount,
     load_users_file,
     read_audit,
     read_dataset_csv,
@@ -39,6 +44,7 @@ from pscalar.wire import (
     assert_no_private_leakage,
     decode,
     encode,
+    json_line,
     receipt_wire,
     scalar_summary,
     spend_wire,
@@ -173,6 +179,9 @@ def test_ingest_errors_carry_line_numbers(tmp_path):
         ("entity,value,floor,ceiling\n,1,0,2\n", ":2:"),             # empty entity
         ("entity,value,floor,ceiling\nA,1,0,2\n*,1,0,2\n", ":3:"),   # remaining_budget's
         ("entity,value,floor,ceiling\nmin,1,0,2\n", ":2:"),          # aggregate queries
+        # a quoted line break stays in its field, and numbers count physical lines
+        ('entity,value,floor,ceiling\n"a\nb",1,0,2\n', ":3: bad entity identifier 'a\\nb'"),
+        ('entity,value,floor,ceiling\nB,"1\n",0,2\nA,x,0,2\n', ":4:"),
     ]
     for body, needle in cases:
         with pytest.raises(IngestError) as err:
@@ -931,6 +940,96 @@ def test_audit_file_keeps_every_request(tmp_path):
     assert len(lines) == 5001
     assert json.loads(lines[0])["op"] == "auth"
     assert {json.loads(line)["op"] for line in lines[1:]} == {"list_datasets"}
+
+
+def _parent_audit_line(ts, session, op, resp, released):
+    """The audit line as the node built it before its lines were assembled from cached parts."""
+    event = {
+        "ts": ts,
+        "peer": session.peer,
+        "user": session.user.name if session.user else None,
+        "op": op if isinstance(op, str) else None,
+        "ok": resp["ok"],
+    }
+    if not resp["ok"]:
+        event["code"] = resp["error"]["code"]
+    if resp.get("publish_id"):
+        event["publish_id"], event["sigma"] = resp["publish_id"], resp["sigma"]
+    if resp.get("rejection"):
+        event["rejected_entities"] = resp["rejection"]["entities"]
+    if released:
+        event["released"] = released
+    return json_line(event).encode()
+
+
+_ANY_TEXT = st.text(st.characters(blacklist_categories=()), max_size=6)  # lone surrogates too
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    peer=_ANY_TEXT,
+    user=st.none() | _ANY_TEXT,
+    op=_ANY_TEXT | st.none() | st.integers() | st.floats() | st.lists(st.integers(), max_size=2),
+    ok=st.booleans(),
+    code=_ANY_TEXT,
+    publish_id=st.none() | _ANY_TEXT,
+    sigma=st.floats(),
+    rejected=st.none() | st.lists(_ANY_TEXT, max_size=3),
+    released=st.integers(min_value=0, max_value=2**70),
+)
+@example(peer="127.0.0.1:5", user="u1", op="binop", ok=True, code="", publish_id=None,
+         sigma=0.0, rejected=None, released=0)
+def test_audit_line_is_the_event_dict_as_json_line(
+    peer, user, op, ok, code, publish_id, sigma, rejected, released
+):
+    node = Node(NodeConfig(eps_cap=1.0, delta=1e-6))
+    node._audit_file = sink = RawSink()
+    session = NodeSession(peer=peer)
+    if user is not None:
+        session.set_user(UserAccount(user, "key", None))
+    resp = {"id": 1, "ok": ok}
+    if not ok:
+        resp["error"] = {"code": code, "detail": "d"}
+    if publish_id is not None:
+        resp["publish_id"], resp["sigma"] = publish_id, sigma
+    if rejected is not None:
+        resp["rejection"] = {"entities": rejected, "projected_eps": [1.0] * len(rejected)}
+    try:
+        want = _parent_audit_line("T", session, op, resp, released)
+    except ValueError as exc:  # a NaN or infinite sigma: refused, nothing written
+        with pytest.raises(ValueError, match=str(exc)):
+            node._audit_event(session, op, resp, released)
+        assert sink.calls == 0
+        return
+    node._audit_event(session, op, resp, released)
+    line = bytes(sink.data)
+    ts = re.match(rb'\{"ts":"([^"]*)",', line).group(1).decode()
+    assert line == want.replace(b'"ts":"T"', f'"ts":"{ts}"'.encode(), 1)
+    assert sink.calls == 1
+
+
+def test_audit_lines_land_whole_through_short_writes(tmp_path):
+    node = make_node(tmp_path)
+    serve_csv(tmp_path, node)
+    node.add_user("u1", key="k1")
+    s = authed_session(node)
+    node._audit_file.close()
+    node._audit_file = sink = RawSink(limit=3)
+    b = call(node, s, "get_roots", dataset="people")["roots"][1]["handle"]
+    call(node, s, "publish", handle=b, sigma=300.0)
+    call(node, s, "publish", handle=b, sigma=0.0001)
+    call(node, s, "no_such_op")
+    events = [json.loads(line) for line in sink.data.decode().splitlines()]
+    assert [(e["op"], e["ok"]) for e in events] == [
+        ("get_roots", True), ("publish", True), ("publish", False), ("no_such_op", False)
+    ]
+    assert events[1]["publish_id"] == "p000001" and events[2]["rejected_entities"] == ["B"]
+    # each line was written three bytes at a time
+    assert sink.calls == sum(-(-len(line) // 3) for line in sink.data.splitlines(keepends=True))
+    node._audit_file = RawSink(fail=True)
+    with pytest.raises(OSError, match="No space left"):
+        call(node, s, "list_datasets")
+    node.close()
 
 
 def test_audit_command_reads_shared_and_per_user_journals(tmp_path, capsys):
