@@ -5,8 +5,8 @@ Renyi curve: one Gaussian release at noise sigma costs an entity
 ``rho = L^2 * x^2 / (2 sigma^2)`` where L is its sound Lipschitz bound and x
 its clipped input, and the curve is ``eps(alpha) = rho * alpha``.  Curves add
 across releases, so a single cumulative rho per entity suffices.
-Every budget decision compares a total with the policy's ``rho_cap``; epsilon
-is computed only for a refusal's projected epsilon and the remaining budget.
+Every budget decision compares with the policy's ``rho_cap`` the total that
+``record`` will store; epsilon is computed only for refusals and remaining budgets.
 """
 
 from __future__ import annotations
@@ -33,8 +33,6 @@ _CALIBRATION_ULP_STEPS = 64
 SIGMA_MIN, SIGMA_MAX = 1e-6, 1e9
 #: What a journal field cannot hold: the field separator and each break of str.splitlines.
 JOURNAL_UNSAFE = re.compile("[\t\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
-# what next_publish_id hands out
-_PUBLISH_ID = re.compile("p[0-9]+")
 
 
 class LedgerError(ValueError):
@@ -175,13 +173,13 @@ class PrivacyLedger:
     """Append-only per-entity cumulative rho, optionally journaled to disk.
 
     Memory holds only each entity's running total; the journal is the only
-    per-release record.
+    per-release record.  ``record`` numbers each release it accepts.
 
     Journal format: one tab-separated record per line,
     ``publish_id<TAB>entity<TAB>rho<TAB>timestamp`` with rho printed to 17
     significant digits so replay reconstructs the exact float state.  Each
-    record is one unbuffered append, made before any caller can observe the
-    new state, which keeps crash recovery conservative.
+    release is one unbuffered append, made before its totals change, which
+    keeps crash recovery conservative.
     """
 
     REAL = "real"
@@ -222,8 +220,8 @@ class PrivacyLedger:
             except ValueError:
                 raise LedgerError(f"journal line {lineno}: bad rho {rho_text!r}") from None
             self._cumulative[entity] = self._cumulative.get(entity, 0.0) + rho
-            # ids may skip numbers (a refused record used one up): resume after the largest
-            if publish_id != last_id and _PUBLISH_ID.fullmatch(publish_id):
+            # ids resume after the largest of the form record writes, checked once per release
+            if publish_id != last_id and re.fullmatch("p[0-9]+", publish_id):
                 self._seq = max(self._seq, int(publish_id[1:]))
             last_id = publish_id
 
@@ -263,33 +261,42 @@ class PrivacyLedger:
         with self._lock:
             yield self
 
-    def next_publish_id(self) -> str:
+    def totals_after(self, spends: list[RdpSpend]) -> dict[str, float]:
+        """Each charged entity's total after ``spends``, added one at a time in ``VarId`` order.
+
+        ``record`` stores these very floats, and replay re-adds journal lines in that order.
+        """
+        totals: dict[str, float] = {}
         with self._lock:
-            self._seq += 1
-            return f"p{self._seq:06d}"
+            for s in sorted(spends, key=attrgetter("entity")):
+                entity = s.entity.entity
+                totals[entity] = totals.get(entity, self._cumulative.get(entity, 0.0)) + s.rho
+        return totals
 
-    def record(self, spends: list[RdpSpend], publish_id: str, timestamp: str | None = None) -> None:
-        """Append the spends of one release; journaled before returning.
+    def record(self, spends: list[RdpSpend], timestamp: str | None = None) -> str:
+        """Journal one release's spends, then add them to the totals; return its publish id.
 
-        A journaled ledger whose journal is closed refuses the record and
-        stays unchanged, so its totals never run ahead of what a restart replays.
-        So does any ledger, simulated too, when an entity id holds a character
-        in ``JOURNAL_UNSAFE``, which replay would split on.
+        A refusal changes no total and takes no id, so memory never runs ahead of
+        the journal: an empty record, a closed journal, an entity id with a
+        character in ``JOURNAL_UNSAFE``, or a failed append.
         """
         ts = timestamp if timestamp is not None else _now_iso()
         with self._lock:
+            spends = sorted(spends, key=attrgetter("entity"))
+            totals = self.totals_after(spends)
+            if not totals:
+                raise LedgerError("a release that charges no entity is not recorded")
             if self.journal_path is not None and self._journal is None:
                 raise LedgerError("the ledger's journal is closed")
-            spends = sorted(spends, key=attrgetter("entity"))
-            ids = [s.entity.entity for s in spends]
-            if JOURNAL_UNSAFE.search("".join(ids)):
+            if JOURNAL_UNSAFE.search("".join(totals)):
                 raise LedgerError("an entity id holds a tab or a line break; a journal cannot")
-            lines = []
-            for s, entity in zip(spends, ids):
-                self._cumulative[entity] = self._cumulative.get(entity, 0.0) + s.rho
-                lines.append(f"{publish_id}\t{entity}\t{s.rho:.17g}\t{ts}\n")
-            if self._journal is not None and lines:
+            publish_id = f"p{self._seq + 1:06d}"
+            if self._journal is not None:
+                lines = [f"{publish_id}\t{s.entity.entity}\t{s.rho:.17g}\t{ts}\n" for s in spends]
                 _write_all(self._journal, "".join(lines).encode("utf-8"))
+            self._seq += 1
+            self._cumulative.update(totals)
+            return publish_id
 
     def fork_simulated(self) -> "PrivacyLedger":
         """Independent deep copy for what-if exploration; never journals."""
@@ -306,24 +313,15 @@ class PrivacyLedger:
                 self._journal = None
 
 
-def _aggregate_by_entity(spends: list[RdpSpend]) -> dict[str, float]:
-    out: dict[str, float] = {}
-    for s in spends:
-        key = s.entity.entity
-        out[key] = out.get(key, 0.0) + s.rho
-    return out
-
-
 def filter_check(ledger: PrivacyLedger, spends: list[RdpSpend], policy: BudgetPolicy) -> FilterDecision:
     """Would recording these spends keep every affected entity under the cap?
 
     Pure check: no state is touched, so a rejected request costs nothing.
-    One compare per entity with ``policy.rho_cap``; only refusals are converted.
+    Compares with ``policy.rho_cap`` each total ``record`` would store; only refusals convert.
     """
     violations = []
     rho_cap = policy.rho_cap
-    for entity, rho in _aggregate_by_entity(spends).items():
-        projected = ledger.total(entity) + rho
+    for entity, projected in ledger.totals_after(spends).items():
         if projected > rho_cap:
             violations.append((entity, rdp_to_dp(projected, policy.delta)))
     violations.sort()
@@ -345,7 +343,7 @@ def calibrate_sigma(scalar: PrivateScalar, ledger: PrivacyLedger, policy: Budget
     CalibrationError naming the blocked entities when no sigma up to SIGMA_MAX can pass.
     """
     needed = {}
-    for entity, unit in _aggregate_by_entity(spend_for_publish(scalar, 1.0)).items():
+    for entity, unit in PrivacyLedger().totals_after(spend_for_publish(scalar, 1.0)).items():
         if unit > 0.0:
             headroom = policy.rho_cap - ledger.total(entity)
             needed[entity] = math.sqrt(unit / headroom) if headroom > 0.0 else math.inf

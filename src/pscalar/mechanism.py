@@ -84,9 +84,8 @@ def _check_and_record(
         decision = filter_check(ledger, spends, policy)
         if not decision.ok:
             return decision, spends, None, None
-        publish_id, timestamp = ledger.next_publish_id(), _now_iso()
-        ledger.record(spends, publish_id, timestamp)
-    return decision, spends, publish_id, timestamp
+        timestamp = _now_iso()
+        return decision, spends, ledger.record(spends, timestamp), timestamp
 
 
 def publish(

@@ -176,7 +176,7 @@ def read_dataset_csv(path: str | Path, name: str | None = None) -> Dataset:
     if not _NAME_RE.match(name):
         raise IngestError(f"bad dataset name {name!r}")
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8").removeprefix("\ufeff")  # "CSV UTF-8" has a BOM
     except OSError as exc:
         raise IngestError(f"{path}: {exc}") from exc
     # a stream keeps each line's ending, so a quoted field may span lines;
@@ -233,6 +233,9 @@ def load_users_file(journal_dir: str | Path) -> list[dict]:
     data = json.loads(path.read_text(encoding="utf-8"))
     if not isinstance(data, list):
         raise ValueError(f"{path}: expected a JSON list")
+    for i, u in enumerate(data):
+        if not (isinstance(u, dict) and all(isinstance(u.get(k), str) for k in ("name", "key"))):
+            raise ValueError(f"{path}: entry {i} must be an object with a string name and key")
     return data
 
 
@@ -307,7 +310,7 @@ class Node:
                 self.journal_dir.mkdir(parents=True, exist_ok=True)
                 self._audit_file = open(self.journal_dir / AUDIT_FILE, "ab", buffering=0)
                 for record in load_users_file(self.journal_dir):
-                    self.add_user(str(record["name"]), str(record["key"]))
+                    self.add_user(record["name"], record["key"])
             if config.shared_ledger:
                 self._ledger_for("")  # the one journal every account charges opens at start
         except BaseException:

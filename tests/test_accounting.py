@@ -136,7 +136,7 @@ def test_filter_and_remaining_budget_convert_as_rdp_to_dp():
     for delta in _DELTA_GRID:
         for rho in _RHO_GRID:
             led = PrivacyLedger()
-            led.record([_spend("A", rho)], led.next_publish_id())
+            led.record([_spend("A", rho)])
             want = rdp_to_dp(rho + 0.25, delta)
             tight = BudgetPolicy(eps_cap=math.nextafter(want, 0.0), delta=delta)
             ((entity, projected),) = filter_check(led, [_spend("A", 0.25)], tight).violations
@@ -185,8 +185,8 @@ def _spend(entity, rho, attribute=""):
 
 def test_ledger_record_and_totals():
     led = PrivacyLedger()
-    led.record([_spend("A", 0.25), _spend("B", 0.5)], led.next_publish_id())
-    led.record([_spend("A", 0.25)], led.next_publish_id())
+    led.record([_spend("A", 0.25), _spend("B", 0.5)])
+    led.record([_spend("A", 0.25)])
     assert led.total("A") == 0.5
     assert led.total("B") == 0.5
     assert led.total("missing") == 0.0
@@ -195,7 +195,7 @@ def test_ledger_record_and_totals():
 
 def test_ledger_aggregates_attributes_per_entity():
     led = PrivacyLedger()
-    led.record([_spend("A", 0.1), _spend("A", 0.2, "kg")], led.next_publish_id())
+    led.record([_spend("A", 0.1), _spend("A", 0.2, "kg")])
     assert led.total("A") == pytest.approx(0.30000000000000004, abs=0.0)  # plain float sum
     assert led.entities() == frozenset({"A"})
 
@@ -203,8 +203,8 @@ def test_ledger_aggregates_attributes_per_entity():
 def test_ledger_journal_roundtrip(tmp_path):
     path = tmp_path / "ledger.log"
     led = PrivacyLedger(journal_path=path)
-    led.record([_spend("A", 1.0 / 3.0), _spend("B", 0.1)], led.next_publish_id())
-    led.record([_spend("A", 0.2)], led.next_publish_id())
+    led.record([_spend("A", 1.0 / 3.0), _spend("B", 0.1)])
+    led.record([_spend("A", 0.2)])
     # journal is tab-separated: publish_id, entity, rho (%.17g), timestamp
     lines = path.read_text().splitlines()
     assert len(lines) == 3
@@ -218,18 +218,18 @@ def test_ledger_journal_roundtrip(tmp_path):
     assert replayed.snapshot_bytes() == led.snapshot_bytes()
     assert replayed.cumulative == led.cumulative
     # ids continue after the replayed prefix
-    assert replayed.next_publish_id() == "p000003"
+    assert replayed.record([_spend("A", 0.1)]) == "p000003"
     led.close()
 
 
 def test_ledger_journal_resume_appends(tmp_path):
     path = tmp_path / "ledger.log"
     led = PrivacyLedger(journal_path=path)
-    led.record([_spend("A", 0.25)], led.next_publish_id())
+    led.record([_spend("A", 0.25)])
     led.close()
     led2 = PrivacyLedger(journal_path=path)  # picks up existing state
     assert led2.total("A") == 0.25
-    led2.record([_spend("A", 0.25)], led2.next_publish_id())
+    led2.record([_spend("A", 0.25)])
     led2.close()
     assert PrivacyLedger.replayed(path).total("A") == 0.5
 
@@ -237,18 +237,18 @@ def test_ledger_journal_resume_appends(tmp_path):
 def test_closed_journal_refuses_records(tmp_path):
     path = tmp_path / "ledger.log"
     led = PrivacyLedger(journal_path=path)
-    led.record([_spend("A", 0.1)], led.next_publish_id())
+    led.record([_spend("A", 0.1)])
     led.close()
     before = led.snapshot_bytes()
     with pytest.raises(LedgerError):
-        led.record([_spend("A", 0.1)], "p000002")
+        led.record([_spend("A", 0.1)])
     # memory and journal still agree, so a restart charges what was charged
     assert led.snapshot_bytes() == before
     assert PrivacyLedger.replayed(path).snapshot_bytes() == before
     # a ledger without a journal has nothing to fall behind
     mem = PrivacyLedger()
     mem.close()
-    mem.record([_spend("A", 0.1)], mem.next_publish_id())
+    mem.record([_spend("A", 0.1)])
     assert mem.total("A") == 0.1
 
 
@@ -276,33 +276,40 @@ def test_ledger_refuses_an_entity_id_its_journal_cannot_hold(tmp_path, bad):
 
 
 def test_publish_ids_never_repeat_across_a_restart(tmp_path):
-    # a refused record has used up its id; replay resumes after the largest id it read
-    from pscalar.mechanism import GaussianNoiseSource, publish
+    # a refused release writes nothing and takes no id, and replay resumes after
+    # the largest id it read; an input-less scalar has no spend, so no journal
+    # line would hold its id, and it is refused
+    from pscalar.mechanism import GaussianNoiseSource, publish, simulate_publish
 
-    path = tmp_path / "ledger.log"
     pol, noise = BudgetPolicy(eps_cap=2.0, delta=1e-6), GaussianNoiseSource(seed=1)
-    led = PrivacyLedger(journal_path=path)
-    ids = [publish(mk("a", 1.0, 0.0, 1.0), 10.0, led, pol, noise).publish_id]
-    with pytest.raises(LedgerError):
-        publish(mk("b\tc", 1.0, 0.0, 1.0), 10.0, led, pol, noise)
-    ids.append(publish(mk("a", 1.0, 0.0, 1.0), 10.0, led, pol, noise).publish_id)
-    led.close()
-    led = PrivacyLedger(journal_path=path)
-    ids.append(publish(mk("a", 1.0, 0.0, 1.0), 10.0, led, pol, noise).publish_id)
-    led.close()
-    assert len(set(ids)) == 3
-    assert [line.split("\t")[0] for line in path.read_text().splitlines()] == ids
+    for n, refused in enumerate((mk("b\tc", 1.0, 0.0, 1.0), PrivateScalar.from_public(3.0))):
+        path = tmp_path / f"ledger-{n}.log"
+        led = PrivacyLedger(journal_path=path)
+        ids = [publish(mk("a", 1.0, 0.0, 1.0), 10.0, led, pol, noise).publish_id]
+        journal, snapshot = path.read_bytes(), led.snapshot_bytes()
+        with pytest.raises(LedgerError):
+            publish(refused, 10.0, led, pol, noise)
+        with pytest.raises(LedgerError):
+            simulate_publish(refused, 10.0, led.fork_simulated(), pol)
+        assert (path.read_bytes(), led.snapshot_bytes()) == (journal, snapshot)
+        ids.append(publish(mk("a", 1.0, 0.0, 1.0), 10.0, led, pol, noise).publish_id)
+        led.close()
+        led = PrivacyLedger(journal_path=path)
+        ids.append(publish(mk("a", 1.0, 0.0, 1.0), 10.0, led, pol, noise).publish_id)
+        led.close()
+        assert ids == ["p000001", "p000002", "p000003"]
+        assert [line.split("\t")[0] for line in path.read_text().splitlines()] == ids
 
 
 def test_journal_records_land_whole_through_short_writes(tmp_path):
     path = tmp_path / "ledger.log"
     led = PrivacyLedger(journal_path=path)
-    led.record([_spend("A", 1.0 / 3.0), _spend("B", 0.1)], led.next_publish_id())
+    led.record([_spend("A", 1.0 / 3.0), _spend("B", 0.1)])
     led._journal.close()
     for limit in (None, 3):
         led._journal = sink = RawSink(limit)
-        led.record([_spend("A", 0.2), _spend("\u00e9", 0.5)], led.next_publish_id())
-        led.record([_spend("B", 0.7)], led.next_publish_id())
+        led.record([_spend("A", 0.2), _spend("\u00e9", 0.5)])
+        led.record([_spend("B", 0.7)])
         lines = sink.data.decode("utf-8").splitlines(keepends=True)
         # one write per record, or per three bytes of it when writes come up short
         records = ["".join(lines[:2]).encode(), lines[2].encode()]
@@ -316,9 +323,14 @@ def test_journal_records_land_whole_through_short_writes(tmp_path):
         with open(path, "ab") as f:
             f.write(sink.data)
     assert PrivacyLedger.replayed(path).snapshot_bytes() == led.snapshot_bytes()
+    # a failed append charges nothing and takes no id: memory still equals the replay
+    before = led.snapshot_bytes()
     led._journal = RawSink(fail=True)
     with pytest.raises(OSError, match="No space left"):
-        led.record([_spend("A", 0.1)], led.next_publish_id())
+        led.record([_spend("A", 0.1)])
+    assert led.snapshot_bytes() == before == PrivacyLedger.replayed(path).snapshot_bytes()
+    led._journal = RawSink()
+    assert led.record([_spend("A", 0.1)]) == "p000006"
 
 
 def _datetime_iso(ns):
@@ -375,19 +387,27 @@ def test_ledger_rejects_malformed_journal(tmp_path):
 
 def test_snapshot_bytes_sorted_and_stable():
     led = PrivacyLedger()
-    led.record([_spend("zz", 0.1), _spend("aa", 0.2)], led.next_publish_id())
+    led.record([_spend("zz", 0.1), _spend("aa", 0.2)])
     snap = led.snapshot_bytes()
     assert snap == b"aa\t0.20000000000000001\nzz\t0.10000000000000001\n"
+
+
+def test_ledger_refuses_an_unknown_mode_and_a_journaled_simulation(tmp_path):
+    with pytest.raises(LedgerError, match="unknown ledger mode"):
+        PrivacyLedger(mode="x")
+    with pytest.raises(LedgerError, match="never journal"):
+        PrivacyLedger(mode=PrivacyLedger.SIMULATED, journal_path=tmp_path / "ledger.log")
+    assert not (tmp_path / "ledger.log").exists()
 
 
 def test_fork_is_isolated_and_journal_free(tmp_path):
     path = tmp_path / "ledger.log"
     led = PrivacyLedger(journal_path=path)
-    led.record([_spend("A", 0.1)], led.next_publish_id())
+    led.record([_spend("A", 0.1)])
     fork = led.fork_simulated()
     assert fork.mode == PrivacyLedger.SIMULATED
     assert fork.cumulative == led.cumulative
-    fork.record([_spend("A", 5.0)], fork.next_publish_id())
+    fork.record([_spend("A", 5.0)])
     assert led.total("A") == 0.1
     assert fork.total("A") == pytest.approx(5.1)
     # the parent journal never saw the fork's activity
@@ -397,7 +417,7 @@ def test_fork_is_isolated_and_journal_free(tmp_path):
 
 def test_cumulative_is_a_copy():
     led = PrivacyLedger()
-    led.record([_spend("A", 0.1)], led.next_publish_id())
+    led.record([_spend("A", 0.1)])
     led.cumulative["A"] = 999.0
     assert led.total("A") == 0.1
 
@@ -406,12 +426,12 @@ def test_ledger_memory_does_not_grow_with_releases():
     # memory holds one total per entity; only the journal keeps each release
     spends = [_spend(f"e{i:04d}", 1e-6) for i in range(1000)]
     led = PrivacyLedger()
-    led.record(spends, led.next_publish_id())
+    led.record(spends)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         for _ in range(50):
-            led.record(spends, led.next_publish_id())
+            led.record(spends)
         fork = led.fork_simulated()
         grown = tracemalloc.get_traced_memory()[0] - before
     finally:
@@ -448,7 +468,7 @@ def test_filter_converts_only_the_entities_it_refuses(eps_cap, delta, shares):
     cap = policy.rho_cap
     led = PrivacyLedger()
     names = [f"e{i}" for i in range(len(shares))]
-    led.record([_spend(n, share * cap / 2.0) for n, share in zip(names, shares)], "p1")
+    led.record([_spend(n, share * cap / 2.0) for n, share in zip(names, shares)])
     under = [_spend(n, share * cap / 2.0) for n, share in zip(names, shares)] + [_spend("x", cap)]
     calls = []
 
@@ -496,7 +516,7 @@ def test_filter_pass_and_reject_frozen():
 def test_filter_is_pure():
     pol = BudgetPolicy(eps_cap=1.0, delta=1e-6)
     led = PrivacyLedger()
-    led.record([_spend("A", 0.01)], led.next_publish_id())
+    led.record([_spend("A", 0.01)])
     before = led.snapshot_bytes()
     filter_check(led, [_spend("A", 100.0)], pol)
     filter_check(led, [_spend("A", 1e-9)], pol)
@@ -514,11 +534,65 @@ def test_filter_aggregates_same_entity_within_release():
     assert not decision.ok and decision.violations[0][0] == "A"
 
 
+def test_filter_decides_on_the_total_record_stores():
+    # t + (a + b) <= cap < (t + a) + b, and the ledger holds (t + a) + b: refused,
+    # as that total converts to eps 2.0000000000000004 > 2
+    pol = BudgetPolicy(eps_cap=2.0, delta=1e-6)
+    assert pol.rho_cap == 0.06757388167314404
+    led = PrivacyLedger()
+    led.record([_spend("A", 0.03347847195187463)])
+    spends = [_spend("A", 0.015325582020021681, "x"), _spend("A", 0.01876982770124774, "y")]
+    decision = filter_check(led, spends, pol)
+    led.record(spends)
+    assert led.total("A") == 0.06757388167314406 > pol.rho_cap
+    assert decision.violations == (("A", rdp_to_dp(led.total("A"), pol.delta)),)
+    assert decision.violations[0][1] > pol.eps_cap
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.floats(min_value=0.0, max_value=1.0),  # prior total, as a share of the cap
+            st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=1, max_size=3),
+            st.integers(min_value=-3, max_value=3),  # ulps off an even split of the headroom
+        ),
+        min_size=1,
+        max_size=4,
+    )
+)
+def test_filter_admits_exactly_the_totals_record_stores(tmp_path_factory, entities):
+    # 1-3 attributes per entity that together fill its headroom to within a few ulps
+    pol = BudgetPolicy(eps_cap=2.0, delta=1e-6)
+    cap = pol.rho_cap
+    path = tmp_path_factory.mktemp("journal") / "ledger.log"
+    led = PrivacyLedger(journal_path=path)
+    spends = []
+    for i, (prior, weights, ulps) in enumerate(entities):
+        if prior > 0.0:
+            led.record([_spend(f"e{i}", prior * cap)])
+        parts = [(cap - led.total(f"e{i}")) * w / sum(weights) for w in weights]
+        for _ in range(abs(ulps)):
+            parts[-1] = math.nextafter(parts[-1], math.copysign(math.inf, ulps))
+        spends += [_spend(f"e{i}", max(part, 0.0), f"a{k}") for k, part in enumerate(parts)]
+    computed = led.totals_after(spends)
+    decision = filter_check(led, spends, pol)
+    led.record(spends)
+    after = {e: led.total(e) for e in computed}
+    assert decision.ok == all(total <= cap for total in after.values())
+    assert after == computed
+    assert decision.violations == tuple(
+        (e, rdp_to_dp(total, pol.delta)) for e, total in sorted(after.items()) if total > cap
+    )
+    led.close()
+    assert PrivacyLedger.replayed(path).snapshot_bytes() == led.snapshot_bytes()
+
+
 def test_filter_counts_existing_ledger_state():
     pol = BudgetPolicy(eps_cap=3.0, delta=1e-6)
     cap = rho_cap(3.0, 1e-6)
     led = PrivacyLedger()
-    led.record([_spend("A", cap * 0.7)], led.next_publish_id())
+    led.record([_spend("A", cap * 0.7)])
     assert filter_check(led, [_spend("A", cap * 0.2)], pol).ok
     assert not filter_check(led, [_spend("A", cap * 0.4)], pol).ok
 
@@ -527,9 +601,9 @@ def test_remaining_budget_frozen():
     pol = BudgetPolicy(eps_cap=6.0, delta=1e-6)
     led = PrivacyLedger()
     assert remaining_budget(led, "A", pol) == 6.0
-    led.record([_spend("A", 0.5)], led.next_publish_id())
+    led.record([_spend("A", 0.5)])
     assert remaining_budget(led, "A", pol) == pytest.approx(6.0 - golden_eps(0.5, 1e-6), rel=1e-9)
-    led.record([_spend("A", 50.0)], led.next_publish_id())
+    led.record([_spend("A", 50.0)])
     assert remaining_budget(led, "A", pol) == 0.0  # clamped, never negative
 
 
@@ -557,7 +631,7 @@ def test_calibrate_respects_prior_spends():
     fresh = PrivacyLedger()
     sigma_fresh = calibrate_sigma(target, fresh, pol)
     spent = PrivacyLedger()
-    spent.record([_spend("solo", 0.25)], spent.next_publish_id())
+    spent.record([_spend("solo", 0.25)])
     sigma_spent = calibrate_sigma(target, spent, pol)
     assert sigma_spent > sigma_fresh  # less budget left -> more noise needed
 
@@ -565,7 +639,7 @@ def test_calibrate_respects_prior_spends():
 def test_calibrate_blocked_entity_error():
     pol = BudgetPolicy(eps_cap=1.0, delta=1e-6)
     led = PrivacyLedger()
-    led.record([_spend("gone", 100.0)], led.next_publish_id())
+    led.record([_spend("gone", 100.0)])
     target = mk("gone", 5.0, 0.0, 10.0) + mk("fine", 5.0, 0.0, 10.0)
     with pytest.raises(CalibrationError) as err:
         calibrate_sigma(target, led, pol)
@@ -595,7 +669,7 @@ def test_calibrate_is_tight_against_the_filter():
         led = PrivacyLedger()
         for entity in sorted({v.entity for v in target.inputs}):
             if rnd.random() < 0.5:
-                led.record([_spend(entity, rnd.uniform(0.0, 0.9) * cap)], led.next_publish_id())
+                led.record([_spend(entity, rnd.uniform(0.0, 0.9) * cap)])
         sigma = calibrate_sigma(target, led, pol)
         assert filter_check(led, spend_for_publish(target, sigma), pol).ok, case
         assert not filter_check(led, spend_for_publish(target, sigma * (1 - 1e-9)), pol).ok, case
@@ -610,7 +684,7 @@ def test_calibrate_admits_a_release_that_fits_just_under_the_cap():
     closed_form_cap = (eps / (math.sqrt(eps + log_inv) + math.sqrt(log_inv))) ** 2
     pol = BudgetPolicy(eps_cap=eps, delta=delta)
     led = PrivacyLedger()
-    led.record([_spend("A", 0.999 * closed_form_cap)], led.next_publish_id())
+    led.record([_spend("A", 0.999 * closed_form_cap)])
     target = mk("A", 5.0, 0.0, 10.0)
     sigma = calibrate_sigma(target, led, pol)
     assert sigma == pytest.approx(1234.097, rel=1e-6)
@@ -621,7 +695,7 @@ def test_calibrate_admits_a_release_that_fits_just_under_the_cap():
 def test_calibrate_blocks_entities_needing_sigma_above_hi(monkeypatch):
     pol = BudgetPolicy(eps_cap=1.0, delta=1e-6)
     led = PrivacyLedger()
-    led.record([_spend("spent", 1.0)], led.next_publish_id())  # already past the cap
+    led.record([_spend("spent", 1.0)])  # already past the cap
     huge = mk("huge", 1e12, 0.0, 1e12)  # needs sigma ~ 2.7e12 against SIGMA_MAX = 1e9
     with pytest.raises(CalibrationError) as err:
         calibrate_sigma(huge + mk("spent", 5.0, 0.0, 10.0) + mk("fine", 5.0, 0.0, 10.0), led, pol)

@@ -98,7 +98,7 @@ def test_publish_rejection_charges_nothing(tmp_path):
     assert err.value.violations[0][1] > POLICY.eps_cap
     assert led.snapshot_bytes() == snap
     assert path.read_bytes() == journal
-    assert led.next_publish_id() == "p000002"  # the rejected attempt burned no id
+    assert publish(f, 100.0, led, POLICY, src).publish_id == "p000002"  # the refusal took no id
     led.close()
 
 

@@ -136,8 +136,11 @@ def good_csv(tmp_path, body, name="data.csv"):
 
 
 def test_ingest_happy_path(tmp_path):
-    path = good_csv(tmp_path, "entity,value,floor,ceiling\nA,5.5,0,10\nB,-2,0,10\n")
+    body = "entity,value,floor,ceiling\nA,5.5,0,10\nB,-2,0,10\n"
+    path = good_csv(tmp_path, body)
     ds = read_dataset_csv(path)
+    # Excel's "CSV UTF-8" starts the file with a BOM, which is not part of the header
+    assert read_dataset_csv(good_csv(tmp_path, "\ufeff" + body, "bom.csv"), "data") == ds
     assert ds.name == "data"
     assert [entity for entity, _ in ds.rows] == ["A", "B"]
     assert ds.rows[0][1].clipped == 5.5
@@ -182,11 +185,23 @@ def test_ingest_errors_carry_line_numbers(tmp_path):
         # a quoted line break stays in its field, and numbers count physical lines
         ('entity,value,floor,ceiling\n"a\nb",1,0,2\n', ":3: bad entity identifier 'a\\nb'"),
         ('entity,value,floor,ceiling\nB,"1\n",0,2\nA,x,0,2\n', ":4:"),
+        # a UTF-8 BOM moves no line number
+        ("\ufeffentity,value,floor,ceiling\nA,1,0,2\n\nA,2,0,2\n", ":4: duplicate entity 'A'"),
     ]
     for body, needle in cases:
         with pytest.raises(IngestError) as err:
             read_dataset_csv(good_csv(tmp_path, body))
         assert needle in str(err.value), body
+
+
+def test_ingest_refuses_a_bad_dataset_name_and_an_unreadable_path(tmp_path):
+    path = good_csv(tmp_path, "entity,value,floor,ceiling\nA,1,0,2\n")
+    for name in ("bad name", "", "a/b"):
+        with pytest.raises(IngestError, match="bad dataset name"):
+            read_dataset_csv(path, name)
+    for unreadable in (tmp_path / "missing.csv", tmp_path):
+        with pytest.raises(IngestError, match=re.escape(str(unreadable))):
+            read_dataset_csv(unreadable, "d")
 
 
 def test_ingest_duplicate_mentions_first_occurrence(tmp_path):
@@ -299,8 +314,10 @@ def test_handle_isolation_between_users(tmp_path):
     # unknown handle
     missing = call(node, s1, "describe", handle="h99999")
     assert not missing["ok"] and missing["error"]["code"] == "unknown_handle"
-    # roots may not be dropped; derived handles may
-    assert not call(node, s1, "drop", handle=roots[0]["handle"])["ok"]
+    # roots, unknown handles and another user's handles may not be dropped; one's own may
+    assert call(node, s1, "drop", handle=roots[0]["handle"])["error"]["code"] == "forbidden"
+    assert call(node, s1, "drop", handle="h99999")["error"]["code"] == "unknown_handle"
+    assert call(node, s2, "drop", handle=derived["handle"])["error"]["code"] == "forbidden"
     assert call(node, s1, "drop", handle=derived["handle"])["ok"]
     gone = call(node, s1, "describe", handle=derived["handle"])
     assert gone["error"]["code"] == "unknown_handle"
@@ -435,6 +452,24 @@ def test_fold_is_one_handle_equal_to_the_binop_fold(tmp_path):
     node.close()
 
 
+def test_unop_refuses_malformed_requests(tmp_path):
+    node = make_node(tmp_path)
+    serve_csv(tmp_path, node)
+    node.add_user("u1", key="k1")
+    s = authed_session(node)
+    handle = call(node, s, "get_roots", dataset="people")["roots"][0]["handle"]
+    before = len(node.store._objects)
+    for params in ({"kind": "sqrt"},
+                   {"kind": "pow", "k": 2.5},
+                   {"kind": "pow", "k": "2"},
+                   {"kind": "pow", "k": True},
+                   {"kind": "scale", "c": "2"}):
+        resp = call(node, s, "unop", handle=handle, **params)
+        assert not resp["ok"] and resp["error"]["code"] == "bad_request", params
+    assert len(node.store._objects) == before
+    node.close()
+
+
 def test_fold_refuses_malformed_requests(tmp_path, monkeypatch):
     node = make_node(tmp_path)
     serve_csv(tmp_path, node)
@@ -546,9 +581,13 @@ def test_publish_response_shape(tmp_path):
 
 def test_remaining_budget_shapes(tmp_path):
     node = make_node(tmp_path)
-    serve_csv(tmp_path, node)
     node.add_user("u1", key="k1")
     s = authed_session(node)
+    # a node that holds no entity yet has the whole cap left and no least entity
+    assert call(node, s, "remaining_budget", entity="min") == {
+        "id": 99, "ok": True, "eps": 6.0, "entity": None}
+    assert call(node, s, "remaining_budget", entity="*")["remaining"] == {}
+    serve_csv(tmp_path, node)
     roots = call(node, s, "get_roots", dataset="people")["roots"]
     call(node, s, "publish", handle=roots[2]["handle"], sigma=300.0)  # charge C
     star = call(node, s, "remaining_budget", entity="*")["remaining"]
@@ -582,8 +621,8 @@ def test_min_budget_is_the_least_remaining_and_ties_go_to_the_smallest_name(tmp_
     s = authed_session(node)
     ledger = node._ledger_for("u1")
     # zz, mm and cc exhausted to 0; dd and ee tie at one partial spend; aa and bb untouched
-    ledger.record([RdpSpend(VarId(e), 1e6, 1.0) for e in ("zz", "mm", "cc")], "p000001")
-    ledger.record([RdpSpend(VarId(e), 0.01, 1.0) for e in ("ee", "dd")], "p000002")
+    ledger.record([RdpSpend(VarId(e), 1e6, 1.0) for e in ("zz", "mm", "cc")])
+    ledger.record([RdpSpend(VarId(e), 0.01, 1.0) for e in ("ee", "dd")])
     star = call(node, s, "remaining_budget", entity="*")["remaining"]
     assert [star[e] for e in ("zz", "mm", "cc")] == [0.0, 0.0, 0.0]
     assert 0.0 < star["dd"] == star["ee"] < star["aa"] == star["bb"] == 6.0
@@ -596,7 +635,7 @@ def test_min_budget_is_the_least_remaining_and_ties_go_to_the_smallest_name(tmp_
         f"{name},1,0,2\n" for name in ("ee", "dd", "bb", "aa")))
     node.add_user("u1", key="k1")
     s = authed_session(node)
-    node._ledger_for("u1").record([RdpSpend(VarId(e), 0.01, 1.0) for e in ("ee", "dd")], "p1")
+    node._ledger_for("u1").record([RdpSpend(VarId(e), 0.01, 1.0) for e in ("ee", "dd")])
     m = call(node, s, "remaining_budget", entity="min")
     assert (m["entity"], m["eps"]) == ("dd", star["dd"])
     node.close()
@@ -894,6 +933,45 @@ def test_node_that_fails_to_start_closes_its_files(tmp_path, users, match):
     with pytest.raises(ValueError, match=match):
         Node(NodeConfig(eps_cap=1.0, delta=1e-6, journal_dir=journal))
     gc.collect()
+
+
+@pytest.mark.parametrize("command", ["serve", "list", "add"])
+@pytest.mark.parametrize(
+    "users, index",
+    [
+        ([{"name": "alice"}], 0),
+        (["bob"], 0),
+        ([{"name": "ann", "key": "k"}, {"name": 7, "key": "j"}], 1),
+    ],
+    ids=["no_key", "not_an_object", "name_not_a_string"],
+)
+def test_a_users_file_entry_of_the_wrong_shape_is_one_error_line(
+    tmp_path, capsys, monkeypatch, command, users, index
+):
+    # each command reads the file; a bad entry is one error line, not a KeyError,
+    # TypeError or AttributeError traceback
+    def no_server(*args, **kwargs):
+        raise AssertionError("the node started serving")
+
+    monkeypatch.setattr(cli, "NodeTCPServer", no_server)
+    journal = tmp_path / "state"
+    journal.mkdir()
+    (journal / "users.json").write_text(json.dumps(users), encoding="utf-8")
+    csv = good_csv(tmp_path, "entity,value,floor,ceiling\nA,3,0,10\n", "people.csv")
+    argv = {
+        "serve": ["serve", "--data", str(csv), "--port", "0", "--eps", "2", "--delta", "1e-6"],
+        "list": ["users", "list"],
+        "add": ["users", "add", "--name", "carol"],
+    }[command] + ["--journal", str(journal)]
+    assert node_main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {journal / 'users.json'}: entry {index} must be an object"
+        " with a string name and key\n"
+    )
+    assert json.loads((journal / "users.json").read_text(encoding="utf-8")) == users
+    gc.collect()  # a file left open fails the test through the ResourceWarning filter
 
 
 @pytest.mark.parametrize("rho", ["nan", "inf", "-1.0"])
