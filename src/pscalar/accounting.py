@@ -162,11 +162,22 @@ def _now_iso() -> str:
 
 
 def _write_all(file, data: bytes) -> None:
-    """Append ``data`` to an unbuffered binary file, one ``write(2)`` unless it comes up short."""
+    """Append ``data`` to an unbuffered binary file, one ``write(2)`` unless it comes up short.
+
+    A write that fails after others took part of ``data`` cuts the file back, so
+    no later append joins a partial line; a file that cannot be cut back is closed.
+    """
     written = file.write(data)
     while written < len(data):
-        data = data[written:]
-        written = file.write(data)
+        try:
+            written += file.write(data[written:])
+        except BaseException:
+            try:
+                file.truncate(file.tell() - written)
+            except BaseException:
+                file.close()
+                raise
+            raise
 
 
 class PrivacyLedger:
@@ -278,7 +289,8 @@ class PrivacyLedger:
 
         A refusal changes no total and takes no id, so memory never runs ahead of
         the journal: an empty record, a closed journal, an entity id with a
-        character in ``JOURNAL_UNSAFE``, or a failed append.
+        character in ``JOURNAL_UNSAFE``, or a failed append, which leaves no
+        partial line (or, if it cannot cut one back, closes the journal).
         """
         ts = timestamp if timestamp is not None else _now_iso()
         with self._lock:
@@ -286,7 +298,7 @@ class PrivacyLedger:
             totals = self.totals_after(spends)
             if not totals:
                 raise LedgerError("a release that charges no entity is not recorded")
-            if self.journal_path is not None and self._journal is None:
+            if self.journal_path is not None and getattr(self._journal, "closed", True):
                 raise LedgerError("the ledger's journal is closed")
             if JOURNAL_UNSAFE.search("".join(totals)):
                 raise LedgerError("an entity id holds a tab or a line break; a journal cannot")

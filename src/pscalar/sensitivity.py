@@ -36,9 +36,8 @@ def lipschitz_bound(scalar: PrivateScalar, entity: VarId) -> LipschitzBound:
     - first_degree: degree <= 1, so the slope is the entity's coefficient.
     - monotone_ceiling: all coefficients and floors are non-negative, so the
       slope has non-negative coefficients and peaks at the all-ceilings corner.
-    - vertex_exact: the slope is multilinear in at most VERTEX_CAP variables,
-      so |slope| peaks at one of the box's 2^k corners, scanned by
-      ``_corner_max_abs``.
+    - vertex_exact: the slope is multilinear in at most VERTEX_CAP variables, so
+      |slope| peaks at one of the box's 2^k corners (``_corner_max_abs``).
     - interval_sound: interval evaluation of the slope; sound but not exact.
 
     The first call bounds every entity at once (``_sweep``) and keeps the
@@ -69,17 +68,19 @@ def _sweep(scalar: PrivateScalar) -> dict:
     first_degree = poly.degree() <= 1
     # variable -> powers, its index there, coefficient, ... for each of its terms
     # in term order; flat, as a tuple per (term, variable) pair costs memory
-    own_terms, bounds, size = {}, {}, 0.0
+    own_terms = None if first_degree else {v: [] for v in inputs}
+    bounds, size = {}, 0.0
     mags = {v: max(-rec.floor, rec.ceiling) for v, rec in inputs.items()}
     try:
         for m, c in poly.items():
-            term = abs(c)
-            for i, (v, e) in enumerate(m.powers):
+            powers, term, i = m.powers, abs(c), 0
+            for v, e in powers:
                 if first_degree:  # v is the term's one variable
                     bounds[v] = c
                 else:
-                    own_terms.setdefault(v, []).extend((m.powers, i, c))
-                term *= mags[v] ** e
+                    own_terms[v].extend((powers, i, c))
+                term *= mags[v] if e == 1 else mags[v] ** e
+                i += 1
             size += term
     except OverflowError:
         size = math.inf
@@ -88,14 +89,15 @@ def _sweep(scalar: PrivateScalar) -> dict:
     if first_degree:
         return bounds
     box = scalar.box()
-    monotone = all(c >= 0 for _, c in poly.items()) and all(box[v].lo >= 0 for v in own_terms)
-    for v in scalar.inputs:
+    monotone = all(c >= 0 for _, c in poly.items())
+    monotone = monotone and all(box[v].lo >= 0 for v, own in own_terms.items() if own)
+    for v, own in own_terms.items():
         iv = box[v]
         # hull the entity's own range while it is bounded (iv itself if it holds 0)
         if not iv.lo <= 0.0 <= iv.hi:
             box[v] = iv.hull_with(0.0)
         try:
-            bounds[v] = _bound_slope(v, own_terms.get(v, ()), box, monotone)
+            bounds[v] = _bound_slope(v, own, box, monotone)
         except NonFiniteError as exc:
             bounds[v] = str(exc)
         box[v] = iv
@@ -103,18 +105,20 @@ def _sweep(scalar: PrivateScalar) -> dict:
 
 
 def _bound_slope(v: VarId, own_terms, box: dict[VarId, Interval], monotone: bool) -> LipschitzBound:
-    """One entity's bound, each float step as its own partial's route would take it."""
+    """One entity's bound, each float step as its own partial's route would take it
+    (interval_sound with one pair of products for a linear slope term c*x)."""
     # distinct monomials have distinct partials in v: one slope term per own
     # term, c*e times the powers left, in term order
     slope, flat = [], iter(own_terms)
     for powers, i, c in zip(flat, flat, flat):
         e = powers[i][1]
-        try:
-            c *= e
-        except OverflowError:
-            c = math.inf
-        if not math.isfinite(c):
-            raise NonFiniteError(f"the slope coefficient of {v.label()} overflows a float")
+        if e != 1:  # c*1 is c, a finite coefficient
+            try:
+                c *= e
+            except OverflowError:
+                c = math.inf
+            if not math.isfinite(c):
+                raise NonFiniteError(f"the slope coefficient of {v.label()} overflows a float")
         rest = powers[:i] if e == 1 else powers[:i] + ((v, e - 1),)
         slope.append((rest + powers[i + 1 :], c))
     if monotone:  # as Polynomial.evaluate sums the slope at the ceilings
@@ -136,13 +140,20 @@ def _bound_slope(v: VarId, own_terms, box: dict[VarId, Interval], monotone: bool
     # Interval.power of each remaining variable, each product the min and max of four
     lo = hi = 0.0
     for rest, c in slope:
-        tlo = thi = c
-        for u, k in rest:
-            plo, phi = box[u] if k == 1 else box[u].power(k)
-            products = (tlo * plo, tlo * phi, thi * plo, thi * phi)
-            tlo, thi = min(products), max(products)
-            if not (-math.inf < tlo and thi < math.inf):
-                raise NonFiniteError("the slope's range overflows a float")
+        if len(rest) == 1 and rest[0][1] == 1:  # c*x: its four products are a, b, a, b
+            plo, phi = box[rest[0][0]]
+            a, b = c * plo, c * phi  # min and max of four keep the first of equal values
+            tlo, thi = (a, b) if a < b else (b, a) if b < a else (a, a)
+        else:
+            tlo = thi = c
+            for u, k in rest:
+                plo, phi = box[u] if k == 1 else box[u].power(k)
+                products = (tlo * plo, tlo * phi, thi * plo, thi * phi)
+                tlo, thi = min(products), max(products)
+                if not (-math.inf < tlo and thi < math.inf):
+                    raise NonFiniteError("the slope's range overflows a float")
+        if not (-math.inf < tlo and thi < math.inf):
+            raise NonFiniteError("the slope's range overflows a float")
         lo += tlo
         hi += thi
     bound = _require_finite(max(abs(lo), abs(hi)), "the slope's range")
@@ -161,10 +172,21 @@ def _corner_max_abs(terms, dvars: list[VarId], box: dict[VarId, Interval]) -> fl
     the rest: C + c_j*x_j + ... .  Float + and * by a fixed number round
     monotonically, so the left-to-right sum of the larger (smaller) of lo*c_j
     and hi*c_j is the largest (smallest) corner value, bit for bit what the
-    fold of every variable of a (2,)*k tensor gives.  The fold is dense,
-    p*2^p float operations for the constant and for each remaining variable
-    however few terms d has, so a sparse slope with a long prefix is slow.
+    fold of every variable of a (2,)*k tensor gives.  An affine d (p = 0) is
+    summed once for each end, with no masks or lists.  Otherwise the fold is
+    dense, p*2^p float operations for the constant and for each remaining
+    variable however few terms d has, so a sparse slope with a long prefix is slow.
     """
+    if all(len(powers) < 2 for powers, _ in terms):  # affine, p = 0: nothing to fold
+        linear = {powers[0][0] if powers else None: c for powers, c in terms}
+        top = bottom = linear.pop(None, 0.0)
+        for v in dvars:
+            c = linear[v]
+            lo, hi = box[v] if c > 0 else reversed(box[v])  # hi*c is the larger product
+            top, bottom = top + hi * c, bottom + lo * c
+        if not (math.isfinite(top) and math.isfinite(bottom)):
+            raise NonFiniteError("slope value at a corner overflows a float")
+        return max(top, -bottom)
     bit = {v: 1 << i for i, v in enumerate(dvars)}
     coeffs, head = {}, 0  # head: the bits of variables not last in their monomial
     for powers, c in terms:
@@ -177,20 +199,21 @@ def _corner_max_abs(terms, dvars: list[VarId], box: dict[VarId, Interval]) -> fl
     p = head.bit_length()
     n = 1 << p
     # a monomial's mask above the prefix (0, or the bit of its one variable
-    # left) -> that variable's coefficient at every prefix corner
-    cells = {key: [0.0] * n for key in {mask >> p for mask in coeffs}}
+    # left) -> that variable's coefficient at every prefix corner, in dvars order
+    cells = {key: [0.0] * n for key in sorted({mask >> p for mask in coeffs})}
     for mask, c in coeffs.items():
         cells[mask >> p][mask & (n - 1)] = c
     for v in dvars[:p]:
-        lo, hi = box[v].lo, box[v].hi
+        lo, hi = box[v]
         for key, a in cells.items():
             xs, ys = a[0::2], a[1::2]
-            cells[key] = [x + lo * y for x, y in zip(xs, ys)] + [x + hi * y for x, y in zip(xs, ys)]
+            cells[key] = a = [x + lo * y for x, y in zip(xs, ys)]
+            a += [x + hi * y for x, y in zip(xs, ys)]
     top = bottom = cells.pop(0, [0.0] * n)
-    for key in sorted(cells):
-        iv, cs = box[dvars[p + key.bit_length() - 1]], cells[key]
-        top = [t + (iv.hi * c if c > 0 else iv.lo * c) for t, c in zip(top, cs)]
-        bottom = [t + (iv.lo * c if c > 0 else iv.hi * c) for t, c in zip(bottom, cs)]
+    for key, cs in cells.items():
+        lo, hi = box[dvars[p + key.bit_length() - 1]]
+        top = [t + (hi * c if c > 0 else lo * c) for t, c in zip(top, cs)]
+        bottom = [t + (lo * c if c > 0 else hi * c) for t, c in zip(bottom, cs)]
     if not (all(map(math.isfinite, top)) and all(map(math.isfinite, bottom))):
         raise NonFiniteError("slope value at a corner overflows a float")
     # top >= bottom at every corner, so these two bound |d| at all of them

@@ -92,3 +92,34 @@ class RawSink(io.RawIOBase):
         taken = bytes(b[: self.limit])
         self.data += taken
         return len(taken)
+
+
+class TornFile(io.RawIOBase):
+    """An append-only file on disk whose first write takes ``take`` bytes and whose second fails.
+
+    Later writes go through whole.  With ``stuck``, cutting the file back fails too.
+    """
+
+    def __init__(self, path, take, stuck=False):
+        self.file, self.take, self.stuck, self.writes = open(path, "ab", buffering=0), take, stuck, 0
+
+    def writable(self):
+        return True
+
+    def write(self, b):
+        self.writes += 1
+        if self.writes == 2:
+            raise OSError(28, "No space left on device")
+        return self.file.write(bytes(b[: self.take]) if self.writes == 1 else b)
+
+    def tell(self):
+        return self.file.tell()
+
+    def truncate(self, size=None):
+        if self.stuck:
+            raise OSError(5, "Input/output error")
+        return self.file.truncate(size)
+
+    def close(self):
+        self.file.close()
+        super().close()

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import RawSink, random_scalar
+from conftest import RawSink, TornFile, random_scalar
 from oracles import analytic_rho_for_eps, analytic_sigma, closed_form_eps, golden_eps, rho_cap
 from pscalar import accounting
 from pscalar.accounting import (
@@ -331,6 +331,45 @@ def test_journal_records_land_whole_through_short_writes(tmp_path):
     assert led.snapshot_bytes() == before == PrivacyLedger.replayed(path).snapshot_bytes()
     led._journal = RawSink()
     assert led.record([_spend("A", 0.1)]) == "p000006"
+
+
+@pytest.mark.parametrize("take", [1, 17, 40])
+def test_a_failed_append_leaves_no_partial_line(tmp_path, take):
+    # the second release's first write takes ``take`` bytes and the next one
+    # fails: the file is cut back, so the release after it lands on a line of its own
+    path = tmp_path / "ledger.log"
+    led = PrivacyLedger(journal_path=path)
+    led.record([_spend("A", 0.25)])
+    before = path.read_bytes()
+    led._journal.close()
+    led._journal = TornFile(path, take)
+    with pytest.raises(OSError, match="No space left"):
+        led.record([_spend("A", 0.5), _spend("B", 0.125)])
+    assert path.read_bytes() == before
+    assert PrivacyLedger.replayed(path).snapshot_bytes() == led.snapshot_bytes()
+    assert led.record([_spend("B", 0.25)]) == "p000002"
+    lines = path.read_text().splitlines()
+    assert [line.split("\t")[:3] for line in lines] == [["p000001", "A", "0.25"], ["p000002", "B", "0.25"]]
+    assert PrivacyLedger.replayed(path).snapshot_bytes() == led.snapshot_bytes()
+    led.close()
+
+
+def test_a_journal_it_cannot_cut_back_closes(tmp_path):
+    path = tmp_path / "ledger.log"
+    led = PrivacyLedger(journal_path=path)
+    led.record([_spend("A", 0.25)])
+    before = path.read_bytes()
+    led._journal.close()
+    led._journal = TornFile(path, 17, stuck=True)
+    with pytest.raises(OSError, match="Input/output error"):
+        led.record([_spend("A", 0.5)])
+    torn = path.read_bytes()
+    assert torn == before + b"p000002\tA\t0.5\t202"
+    # no later release joins the partial line: each is refused and memory stays put
+    with pytest.raises(LedgerError, match="closed"):
+        led.record([_spend("B", 0.25)])
+    assert path.read_bytes() == torn
+    assert led.snapshot_bytes() == b"A\t0.25\n"
 
 
 def _datetime_iso(ns):

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import RawSink
+from conftest import RawSink, TornFile
 from oracles import rho_cap
 from pscalar import cli
 from pscalar.cli import node_main
@@ -1108,6 +1108,25 @@ def test_audit_lines_land_whole_through_short_writes(tmp_path):
     with pytest.raises(OSError, match="No space left"):
         call(node, s, "list_datasets")
     node.close()
+
+
+def test_a_failed_audit_append_leaves_no_partial_line(tmp_path):
+    # an audit line torn after 17 bytes is cut back, and the next line lands whole
+    node = make_node(tmp_path)
+    serve_csv(tmp_path, node)
+    node.add_user("u1", key="k1")
+    s = authed_session(node)
+    path = node.journal_dir / AUDIT_FILE
+    before = path.read_bytes()
+    node._audit_file.close()
+    node._audit_file = TornFile(path, 17)
+    with pytest.raises(OSError, match="No space left"):
+        call(node, s, "list_datasets")
+    assert path.read_bytes() == before
+    call(node, s, "get_roots", dataset="people")
+    node.close()
+    events = read_audit(node.journal_dir)["events"]
+    assert [(e["op"], e["ok"]) for e in events[-2:]] == [("auth", True), ("get_roots", True)]
 
 
 def test_audit_command_reads_shared_and_per_user_journals(tmp_path, capsys):

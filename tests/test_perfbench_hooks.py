@@ -61,3 +61,16 @@ def test_tracer_hooks_reach_every_layer(tmp_path):
     # release reads the slopes its rehearsal kept
     assert metrics["sensitivity.bound_calls"] == 2
     assert metrics["sensitivity.route.vertex_exact"] == 2
+
+
+def test_the_benchmarks_bound_checks_pass_on_corner_exact():
+    # the smoke run checks every rehearsed and released slope against the
+    # benchmark's closed forms, and that the k = 24 group stays inexact; a
+    # child process, as perfbench/tests and tests/ each have an oracles module
+    proc = subprocess.run(
+        [sys.executable, str(BENCH / "run.py"), "--workload", "corner_exact", "--smoke",
+         "--trace", "1", "--seconds", "0", "--seed", "5"],
+        cwd=BENCH.parent, capture_output=True, text=True, timeout=170,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.strip().splitlines()[-1])["correct"] is True

@@ -397,6 +397,95 @@ def test_swept_bounds_match_each_entitys_own_partial(scalar):
         assert (res.bound.hex(), res.strategy, res.exact) == (want[0].hex(), *want[1:])
 
 
+def _routes_match_reference(scalar, entities=None):
+    """Assert each entity's bound equals its own partial's, bit for bit; return the routes."""
+    routes = []
+    for entity in entities or sorted(scalar.inputs):
+        res = lipschitz_bound(scalar, entity)
+        want = _reference_bound(scalar, entity)
+        assert (res.bound.hex(), res.strategy, res.exact) == (want[0].hex(), *want[1:]), entity
+        routes.append(res.strategy)
+    return routes
+
+
+def _corner_boxes(k, seed):
+    # as the benchmark's corner_exact draws them: floors in -{0.25..1}, ceilings in {0.25..1}
+    rnd = random.Random(seed)
+    steps = (0.25, 0.5, 0.75, 1.0)
+    return [(-rnd.choice(steps), rnd.choice(steps)) for _ in range(k)]
+
+
+@pytest.mark.parametrize("k", [12, VERTEX_CAP, VERTEX_CAP + 1, 30])
+def test_square_of_sum_is_bit_identical_to_each_entitys_partial(k):
+    # the slope 2*sum x is affine: one sum per corner bound up to the cap,
+    # and one pair of products per term on the interval route past it
+    for seed in range(3):
+        parts = [mk(f"c{j:02d}", 0.1 * j - 0.5, lo, hi) for j, (lo, hi) in enumerate(_corner_boxes(k, seed))]
+        total = sum_scalars(parts)
+        # at the cap the numpy reference folds 2^20 corners an entity: three entities will do
+        some = None if k < VERTEX_CAP else [VarId("c00"), VarId("c01"), VarId(f"c{k - 1:02d}")]
+        routes = set(_routes_match_reference(total * total, some))
+        assert routes == ({VERTEX_EXACT} if k <= VERTEX_CAP else {INTERVAL_SOUND})
+
+
+@pytest.mark.parametrize("k", [8, 12])
+def test_shifted_product_is_bit_identical_to_each_entitys_partial(k):
+    for seed in range(2):
+        f = PrivateScalar.from_public(1.0)
+        for j, (lo, hi) in enumerate(_corner_boxes(k, seed)):
+            f = f * mk(f"p{j:02d}", 0.0, lo, hi).shift(1.0)
+        assert set(_routes_match_reference(f)) == {VERTEX_EXACT}
+
+
+@st.composite
+def _wide_quadratics(draw):
+    """A degree-2 scalar over 21-30 variables: the square of a sum, with some
+    coefficients changed, plus linear terms and a constant.
+
+    The sum runs over 12-16 variables (vertex_exact slopes) or over 23 or more
+    (interval_sound ones).  Boxes may be [0, 0] or hold -0.0, and coefficients
+    may be 0.0 (the term drops out; past the cap only off the cross terms, so
+    every slope there stays past it) or subnormal, so products meet signed zeros.
+    """
+    size = draw(st.one_of(st.integers(12, 16), st.integers(VERTEX_CAP + 3, 30)))
+    k = draw(st.integers(max(size, VERTEX_CAP + 1), 30))
+    names = [VarId(f"w{i:02d}") for i in range(k)]
+    ends = st.sampled_from([0.0, -0.0, 0.25, -0.25, 0.5, -0.75, 1.0, -1.0, 5e-324, -5e-324])
+    inputs = {}
+    for v in names:
+        lo, hi = sorted((draw(ends), draw(ends)))
+        inputs[v] = EntityInput(0.0, lo, hi)
+    coefficient = st.sampled_from([2.0, 2.0, 2.0, 1.0, -1.0, -3.5, 0.0, 5e-324, -5e-324])
+    inside = names[:size]
+    cross = coefficient if size <= 16 else coefficient.filter(lambda c: c != 0.0)
+    terms = {}
+    for i, a in enumerate(inside):
+        terms[Monomial(((a, 2),))] = draw(coefficient) / 2.0
+        for b in inside[i + 1 :]:
+            terms[Monomial(((a, 1), (b, 1)))] = draw(cross)
+    for v in draw(st.lists(st.sampled_from(names), unique=True, max_size=6)):
+        terms[Monomial(((v, 1),))] = draw(coefficient)
+    terms[Monomial()] = draw(coefficient)
+    return PrivateScalar(Polynomial(terms), inputs)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_wide_quadratics())
+def test_wide_quadratics_are_bit_identical_to_each_entitys_partial(scalar):
+    _routes_match_reference(scalar)
+
+
+def test_an_entity_cancelled_out_of_a_wide_square_is_bounded_by_zero():
+    parts = [mk(f"c{j:02d}", 0.0, lo, hi) for j, (lo, hi) in enumerate(_corner_boxes(VERTEX_CAP + 1, 7))]
+    total = sum_scalars(parts)
+    gone = mk("gone", 0.5, -1.0, 1.0)
+    f = total * total + gone - gone
+    routes = dict(zip(sorted(f.inputs), _routes_match_reference(f)))
+    assert routes.pop(VarId("gone")) == VERTEX_EXACT
+    assert set(routes.values()) == {INTERVAL_SOUND}
+    assert lipschitz_bound(f, VarId("gone")).bound == 0.0
+
+
 def _mixed_floors():
     # (A+B)^2 + C^3 - 20*C*D: A and D have negative floors, B and C positive
     # ones, so hulling B's or C's own box through 0 moves the bound
