@@ -7,11 +7,11 @@ never reach this side of the connection.
 
 from __future__ import annotations
 
-import numbers
 import socket
 from collections import deque
 from dataclasses import dataclass
 
+from .scalar import ScalarArithmetic
 from .wire import decode, encode
 
 
@@ -72,7 +72,7 @@ def _field(payload: dict, key: str, kind: type | tuple[type, ...]):
     return value
 
 
-class RemoteScalar:
+class RemoteScalar(ScalarArithmetic):
     """Reference to a private scalar living on the node.
 
     Holds only the handle and public metadata (degree, term and entity
@@ -92,35 +92,13 @@ class RemoteScalar:
         self.terms = meta.get("terms")
         self.entities = meta.get("entities")
 
-    def __add__(self, other):
-        if isinstance(other, RemoteScalar):
-            return self.session._binop("add", self, other)
-        if isinstance(other, numbers.Real):
-            return self.shift(float(other))
-        return NotImplemented
+    _division_error = ClientError
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, RemoteScalar):
-            return self.session._binop("sub", self, other)
-        if isinstance(other, numbers.Real):
-            return self.shift(-float(other))
-        return NotImplemented
-
-    def __rsub__(self, other):
-        if isinstance(other, numbers.Real):
-            return (-self).shift(float(other))
-        return NotImplemented
-
-    def __mul__(self, other):
-        if isinstance(other, RemoteScalar):
-            return self.session._binop("mul", self, other)
-        if isinstance(other, numbers.Real):
-            return self.scale(float(other))
-        return NotImplemented
-
-    __rmul__ = __mul__
+    def _combine(self, kind: str, other):
+        if not isinstance(other, RemoteScalar):
+            return NotImplemented
+        session = self.session
+        return session._derive("binop", kind=kind, a=self.handle, b=session._own(other))
 
     def __neg__(self):
         return self.session._unop("neg", self)
@@ -133,11 +111,6 @@ class RemoteScalar:
 
     def shift(self, c: float):
         return self.session._unop("shift", self, c=c)
-
-    def __truediv__(self, other):
-        raise ClientError("division is not available on private scalars")
-
-    __rtruediv__ = __truediv__
 
     # a copy is the scalar itself: one object owns a minted handle, and releases it once
     def __copy__(self):
@@ -273,9 +246,6 @@ class Session:
         scalar = RemoteScalar(self, _field(payload, "handle", str), _field(payload, "meta", dict))
         scalar.owned = True
         return scalar
-
-    def _binop(self, kind: str, a: RemoteScalar, b: RemoteScalar) -> RemoteScalar:
-        return self._derive("binop", kind=kind, a=a.handle, b=self._own(b))
 
     def _fold(self, kind: str, scalars: list[RemoteScalar]) -> RemoteScalar:
         if not scalars:

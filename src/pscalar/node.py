@@ -33,6 +33,7 @@ from .accounting import (
 from .mechanism import BudgetRejected, GaussianNoiseSource, publish, simulate_publish
 from .poly import Polynomial, PolynomialError, TermLimitError, VarId, _SlotsRecord, _tuple_record
 from .scalar import (
+    BINARY_OPS,
     EntityInput,
     MetadataConflictError,
     PrivateScalar,
@@ -51,7 +52,6 @@ from .wire import (
 )
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
-_BINOPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
 
 USERS_FILE = "users.json"
 AUDIT_FILE = "audit.jsonl"
@@ -504,9 +504,9 @@ class Node:
         kind = self._want_str(msg, "kind")
         a = self._scalar(session, self._want_str(msg, "a"))
         b = self._scalar(session, self._want_str(msg, "b"))
-        if kind not in _BINOPS:
+        if kind not in BINARY_OPS:
             raise NodeError("bad_request", f"unknown binop kind {kind!r}")
-        result = _BINOPS[kind](a, b)
+        result = BINARY_OPS[kind](a, b)
         handle = self.store.add(result, owner=session.user.name)
         return {"handle": handle, "meta": self._meta(result)}
 

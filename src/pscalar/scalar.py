@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-import numbers
 import operator
+from numbers import Real
 from typing import Iterable, Mapping
 
 from .poly import (
@@ -66,7 +66,41 @@ def _merge_inputs(out: dict[VarId, EntityInput], inputs: Mapping[VarId, EntityIn
         out[v] = rec
 
 
-class PrivateScalar:
+#: The binary kinds by wire name; the node's binop and a script's op steps read it too.
+BINARY_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
+
+
+class ScalarArithmetic:
+    """``+ - *`` with a real number, as ``shift`` or ``scale``, or else through ``_combine``,
+    which gives NotImplemented for a scalar of another class; ``/`` raises ``_division_error``."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        return self.shift(float(other)) if isinstance(other, Real) else self._combine("add", other)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self.shift(-float(other)) if isinstance(other, Real) else self._combine("sub", other)
+
+    def __rsub__(self, other):
+        return (-self).shift(float(other)) if isinstance(other, Real) else NotImplemented
+
+    def __mul__(self, other):
+        return self.scale(float(other)) if isinstance(other, Real) else self._combine("mul", other)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        raise self._division_error(
+            "division is not polynomial; rescale by a public constant instead"
+        )
+
+    __rtruediv__ = __truediv__
+
+
+class PrivateScalar(ScalarArithmetic):
     """A derived scalar held on the data owner's side.
 
     The scalar is a polynomial over entity variables together with the
@@ -148,33 +182,14 @@ class PrivateScalar:
 
     # -- arithmetic ---------------------------------------------------------------
 
-    def _binary(self, other, combine) -> "PrivateScalar":
-        if isinstance(other, PrivateScalar):
-            inputs = dict(self.inputs)
-            _merge_inputs(inputs, other.inputs)
-            return PrivateScalar._derived(combine(self.poly, other.poly), inputs)
-        if isinstance(other, numbers.Real):
-            const = Polynomial.constant(float(other))
-            return PrivateScalar._derived(combine(self.poly, const), self.inputs)
-        return NotImplemented
+    _division_error = UnsupportedOperationError
 
-    def __add__(self, other):
-        return self._binary(other, operator.add)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._binary(other, operator.sub)
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
-    def __mul__(self, other):
-        if isinstance(other, numbers.Real):
-            return self.scale(float(other))
-        return self._binary(other, operator.mul)
-
-    __rmul__ = __mul__
+    def _combine(self, kind: str, other) -> "PrivateScalar":
+        if not isinstance(other, PrivateScalar):
+            return NotImplemented
+        inputs = dict(self.inputs)
+        _merge_inputs(inputs, other.inputs)
+        return PrivateScalar._derived(BINARY_OPS[kind](self.poly, other.poly), inputs)
 
     def __neg__(self) -> "PrivateScalar":
         return PrivateScalar._derived(-self.poly, self.inputs)
@@ -191,13 +206,6 @@ class PrivateScalar:
                 f"only non-negative integer powers stay polynomial, got {k!r}"
             )
         return PrivateScalar._derived(self.poly.power(k), self.inputs)
-
-    def __truediv__(self, other):
-        raise UnsupportedOperationError(
-            "division is not polynomial; rescale by a public constant instead"
-        )
-
-    __rtruediv__ = __truediv__
 
     def __repr__(self) -> str:
         ents = ",".join(sorted(v.label() for v in self.inputs))

@@ -26,13 +26,13 @@ Any step may carry ``"session": NAME`` to run on a session opened by a
 from __future__ import annotations
 
 import json
-import operator
 import os
 import shlex
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .client import ClientError, PublishRejectedError, RemoteScalar, Session
+from .scalar import BINARY_OPS
 
 
 class ScriptError(ClientError):
@@ -77,7 +77,6 @@ def parse_script(path: str | Path) -> list[dict]:
     return steps
 
 
-_BINARY = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
 # steps after which a script's report notes the session's least remaining budget
 _BUDGET_NOTED = ("simulate", "publish", "expect_reject")
 # what a failed step raises, in a script run and at the REPL prompt alike
@@ -162,8 +161,9 @@ class _Runner:
                 result = arg[int(step["index"])]
             else:
                 result = (session.sum_of if kind == "sum" else session.product_of)(arg)
-        elif kind in _BINARY:
-            result = _BINARY[kind](self.scalar_binding(step["a"]), self.scalar_binding(step["b"]))
+        elif kind in BINARY_OPS:
+            a, b = self.scalar_binding(step["a"]), self.scalar_binding(step["b"])
+            result = BINARY_OPS[kind](a, b)
         elif kind == "scale":
             result = self.scalar_binding(step["arg"]).scale(float(step["c"]))
         elif kind == "shift":
@@ -264,7 +264,7 @@ class _Runner:
 
 # let NAME = KIND ARGS...: the op step fields that each kind's words fill, in order
 _LET_FIELDS = {
-    **dict.fromkeys(("add", "sub", "mul"), ("a", "b")),
+    **dict.fromkeys(BINARY_OPS, ("a", "b")),
     **dict.fromkeys(("sum", "product", "neg"), ("arg",)),
     **dict.fromkeys(("scale", "shift"), ("arg", "c")),
     "pow": ("arg", "k"),
