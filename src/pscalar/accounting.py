@@ -180,6 +180,21 @@ def _write_all(file, data: bytes) -> None:
             raise
 
 
+def _cut_torn_line(path: Path) -> None:
+    """Create the file, or cut off its last line if that lacks a line break: a crash or a stuck
+    cut-back left it mid-append, and no writer had returned, so it is never a record."""
+    with open(path, "ab+", buffering=0) as file:
+        keep = end = file.seek(0, 2)
+        cut = -1
+        while cut < 0 < keep:  # back from the end, one block at a time, to the last line break
+            start = max(0, keep - 65536)
+            file.seek(start)
+            cut = file.read(keep - start).rfind(b"\n")
+            keep = start + cut + 1
+        if keep < end:
+            file.truncate(keep)
+
+
 class PrivacyLedger:
     """Append-only per-entity cumulative rho, optionally journaled to disk.
 
@@ -208,16 +223,17 @@ class PrivacyLedger:
         self._lock = threading.RLock()
         self._journal = None
         if self.journal_path is not None:
-            if self.journal_path.exists():
-                self._replay_lines(self.journal_path.read_text(encoding="utf-8"))
             self.journal_path.parent.mkdir(parents=True, exist_ok=True)
+            _cut_torn_line(self.journal_path)
+            self._replay_lines(self.journal_path.read_text(encoding="utf-8"))
             self._journal = open(self.journal_path, "ab", buffering=0)
 
     # -- replay -----------------------------------------------------------------
 
     def _replay_lines(self, text: str) -> None:
         last_id = None
-        for lineno, line in enumerate(text.splitlines(), start=1):
+        # a last line without its line break is a torn append, not a record
+        for lineno, line in enumerate(text.rpartition("\n")[0].splitlines(), start=1):
             if not line.strip():
                 continue
             parts = line.split("\t")

@@ -97,8 +97,7 @@ class RemoteScalar(ScalarArithmetic):
     def _combine(self, kind: str, other):
         if not isinstance(other, RemoteScalar):
             return NotImplemented
-        session = self.session
-        return session._derive("binop", kind=kind, a=self.handle, b=session._own(other))
+        return self.session._derive("binop", kind=kind, a=self.handle, b=self.session._own(other))
 
     def __neg__(self):
         return self.session._unop("neg", self)

@@ -26,6 +26,7 @@ from .accounting import (
     JOURNAL_UNSAFE,
     BudgetPolicy,
     PrivacyLedger,
+    _cut_torn_line,
     _now_iso,
     _write_all,
     remaining_budget,
@@ -265,9 +266,16 @@ def read_audit(journal_dir: str | Path) -> dict:
     """
     journal = Path(journal_dir)
     audit_path = journal / AUDIT_FILE
-    lines = audit_path.read_text(encoding="utf-8").splitlines() if audit_path.exists() else []
+    text = audit_path.read_text(encoding="utf-8") if audit_path.exists() else ""
+    events = []
+    # a last line without its line break is a torn append, not a request's record
+    for lineno, line in enumerate(text.rpartition("\n")[0].splitlines(), start=1):
+        try:
+            events += [json.loads(line)] if line.strip() else []
+        except ValueError as exc:
+            raise ValueError(f"{audit_path}:{lineno}: {exc}") from None
     return {
-        "events": [json.loads(line) for line in lines if line.strip()],
+        "events": events,
         "cumulative": {
             path.stem.removeprefix("ledger-"): PrivacyLedger.replayed(path).cumulative
             for path in sorted(journal.glob("ledger-*.log"))
@@ -308,6 +316,7 @@ class Node:
         try:  # a start that fails closes what it opened
             if self.journal_dir is not None:
                 self.journal_dir.mkdir(parents=True, exist_ok=True)
+                _cut_torn_line(self.journal_dir / AUDIT_FILE)
                 self._audit_file = open(self.journal_dir / AUDIT_FILE, "ab", buffering=0)
                 for record in load_users_file(self.journal_dir):
                     self.add_user(record["name"], record["key"])
@@ -369,7 +378,7 @@ class Node:
         session's cached head; the encoder runs only for the rare fields, and
         ``released``, which most requests of a left fold carry, is an int.
         """
-        if self._audit_file is None:
+        if getattr(self._audit_file, "closed", True):  # none, or closed by a failed append
             return
         ok = resp["ok"]
         rare = {}
@@ -387,7 +396,7 @@ class Node:
             f',"released":{released}}}\n' if released else "}\n",
         )).encode()
         with self._audit_lock:
-            if self._audit_file is not None:
+            if not getattr(self._audit_file, "closed", True):
                 _write_all(self._audit_file, line)
 
     def close(self) -> None:
@@ -406,6 +415,8 @@ class Node:
         op = msg.get("op")
         released = 0
         try:
+            if getattr(self._audit_file, "closed", False):  # as a release on a closed journal
+                raise NodeError("bad_request", f"the node's audit log {AUDIT_FILE} is closed")
             if rid is None:
                 raise NodeError("bad_request", "request id must be an integer")
             if not isinstance(op, str):
@@ -515,10 +526,8 @@ class Node:
         a = self._scalar(session, self._want_str(msg, "handle"))
         if kind == "neg":
             result = -a
-        elif kind == "scale":
-            result = a.scale(self._want_number(msg, "c"))
-        elif kind == "shift":
-            result = a.shift(self._want_number(msg, "c"))
+        elif kind in ("scale", "shift"):
+            result = getattr(a, kind)(self._want_number(msg, "c"))
         elif kind == "pow":
             result = a ** self._want_int(msg, "k")
         else:

@@ -164,10 +164,8 @@ class _Runner:
         elif kind in BINARY_OPS:
             a, b = self.scalar_binding(step["a"]), self.scalar_binding(step["b"])
             result = BINARY_OPS[kind](a, b)
-        elif kind == "scale":
-            result = self.scalar_binding(step["arg"]).scale(float(step["c"]))
-        elif kind == "shift":
-            result = self.scalar_binding(step["arg"]).shift(float(step["c"]))
+        elif kind in ("scale", "shift"):
+            result = getattr(self.scalar_binding(step["arg"]), kind)(float(step["c"]))
         elif kind == "pow":
             result = self.scalar_binding(step["arg"]) ** int(step["k"])
         elif kind == "neg":

@@ -372,6 +372,38 @@ def test_a_journal_it_cannot_cut_back_closes(tmp_path):
     assert led.snapshot_bytes() == b"A\t0.25\n"
 
 
+def test_a_torn_last_journal_line_is_never_a_record(tmp_path):
+    # what a stuck cut-back leaves: replay skips it, and opening the journal
+    # cuts it off, so the next release gets a line of its own at each restart
+    path = tmp_path / "ledger.log"
+    led = PrivacyLedger(journal_path=path)
+    led.record([_spend("A", 0.25)])
+    before = path.read_bytes()
+    led._journal.close()
+    led._journal = TornFile(path, 17, stuck=True)
+    with pytest.raises(OSError, match="Input/output error"):
+        led.record([_spend("A", 0.5)])
+    assert path.read_bytes() == before + b"p000002\tA\t0.5\t202"
+    assert PrivacyLedger.replayed(path).snapshot_bytes() == b"A\t0.25\n"
+    for restart, (entity, rho) in enumerate((("B", 0.125), ("A", 0.5)), start=1):
+        led = PrivacyLedger(journal_path=path)
+        assert path.read_bytes().endswith(b"\n")
+        assert PrivacyLedger.replayed(path).snapshot_bytes() == led.snapshot_bytes()
+        assert led.record([_spend(entity, rho)]) == f"p{restart + 1:06d}"
+        led.close()
+    assert [line.split("\t")[:3] for line in path.read_text().splitlines()] == [
+        ["p000001", "A", "0.25"], ["p000002", "B", "0.125"], ["p000003", "A", "0.5"]
+    ]
+    assert PrivacyLedger.replayed(path).snapshot_bytes() == b"A\t0.75\nB\t0.125\n"
+    # a journal that is one torn line holds no record
+    path.write_bytes(b"p000001\tA\t0.5\t2026-10")
+    led = PrivacyLedger(journal_path=path)
+    assert (path.read_bytes(), led.snapshot_bytes(), led.record([_spend("A", 0.1)])) == (
+        b"", b"", "p000001"
+    )
+    led.close()
+
+
 def _datetime_iso(ns):
     epoch = datetime.datetime(1970, 1, 1, tzinfo=datetime.timezone.utc)
     return (epoch + datetime.timedelta(microseconds=ns // 1000)).isoformat(timespec="microseconds")

@@ -22,6 +22,9 @@ from pscalar.client import (
     TransportError,
 )
 from pscalar.node import Node, NodeConfig, start_server
+from pscalar.poly import VarId
+from pscalar.scalar import PrivateScalar, UnsupportedOperationError
+from pscalar.wire import scalar_summary
 
 SECRET_A = 77.2512345678
 SECRET_B = 40.25
@@ -128,6 +131,45 @@ def test_division_rejected_client_side(live):
         a, *_ = s.roots("people")
         with pytest.raises(ClientError):
             _ = a / 2.0
+
+
+# one table of expressions over two roots and the numbers 3.0, -0.0 and 2.5
+PARITY = {
+    "a+b": lambda a, b: a + b,
+    "a-b": lambda a, b: a - b,
+    "a*b": lambda a, b: a * b,
+    "a+3": lambda a, b: a + 3.0,
+    "3+a": lambda a, b: 3.0 + a,
+    "a-3": lambda a, b: a - 3.0,
+    "3-a": lambda a, b: 3.0 - a,
+    "2.5*a": lambda a, b: 2.5 * a,
+    "a*2.5": lambda a, b: a * 2.5,
+    "-a": lambda a, b: -a,
+    "(a+b)**2": lambda a, b: (a + b) ** 2,
+    "3-a*b": lambda a, b: 3.0 - a * b,
+    "a+-0": lambda a, b: a + -0.0,
+    "a--0": lambda a, b: a - -0.0,
+    "-0-a": lambda a, b: -0.0 - a,
+    "-0*a": lambda a, b: -0.0 * a,
+}
+
+
+def test_operators_mean_the_same_on_local_and_remote_scalars(live):
+    local = [
+        PrivateScalar.make_private(VarId(e, "people"), value, 0.0, 122.0)
+        for e, value in (("A", SECRET_A), ("B", SECRET_B))
+    ]
+    with connect(live) as s:
+        remote = s.roots("people")[:2]
+        for name, expr in PARITY.items():
+            mine, theirs = expr(*local), expr(*remote)
+            assert s.describe(theirs) == scalar_summary(mine), name
+            assert (theirs.degree, theirs.terms) == (mine.degree(), mine.term_count), name
+        for scalars, refusal in ((local, UnsupportedOperationError), (remote, ClientError)):
+            a, b = scalars
+            for divide in (lambda: a / 2.0, lambda: 2.5 / a, lambda: a / b):
+                with pytest.raises(refusal):
+                    divide()
 
 
 def test_cross_session_mixing_rejected(live):

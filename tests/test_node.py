@@ -748,6 +748,29 @@ def test_a_value_that_can_overflow_on_the_box_is_refused_before_any_charge(tmp_p
     assert encode(answers[0]) == encode(answers[1])
 
 
+def test_a_slope_coefficient_that_overflows_is_a_bad_request(tmp_path):
+    # 1e308 * A^2 + B with A on [0, 1e-10]: the value fits the box, but A's
+    # slope coefficient 2e308 does not fit a float; nothing is charged for B either
+    node = make_node(tmp_path)
+    serve_csv(tmp_path, node, body="entity,value,floor,ceiling\nA,5e-11,0,1e-10\nB,0.5,0,1\n")
+    node.add_user("u1", key="k1")
+    s = authed_session(node)
+    a, b = (r["handle"] for r in call(node, s, "get_roots", dataset="people")["roots"])
+    square = call(node, s, "unop", kind="pow", handle=a, k=2)["handle"]
+    big = call(node, s, "unop", kind="scale", handle=square, c=1e308)["handle"]
+    query = call(node, s, "binop", kind="add", a=big, b=b)["handle"]
+    assert call(node, s, "fork_sim")["ok"]
+    journal = node.journal_dir / "ledger-user-u1.log"
+    for op in ("simulate_publish", "publish"):
+        resp = call(node, s, op, handle=query, sigma=1.0)
+        assert resp["error"] == {
+            "code": "bad_request", "detail": "the slope coefficient of A:people overflows a float"
+        }, (op, resp)
+    assert s.sim.snapshot_bytes() == s.user.ledger.snapshot_bytes() == b""
+    assert journal.read_bytes() == b""
+    node.close()
+
+
 def test_a_product_that_forms_too_many_term_pairs_is_refused_at_once(tmp_path):
     # (0.5*(x + 1))^16384 keeps each power of two under the term cap, yet its
     # squarings form 4^14/3 pairs; the work cap refuses it before that work
@@ -1127,6 +1150,68 @@ def test_a_failed_audit_append_leaves_no_partial_line(tmp_path):
     node.close()
     events = read_audit(node.journal_dir)["events"]
     assert [(e["op"], e["ok"]) for e in events[-2:]] == [("auth", True), ("get_roots", True)]
+
+
+def test_a_node_whose_audit_file_closed_runs_no_more_ops(tmp_path):
+    # an audit line torn after 17 bytes that cannot be cut back closes the file;
+    # each later op is refused before it runs, so a release charges nothing
+    node = make_node(tmp_path)
+    serve_csv(tmp_path, node)
+    node.add_user("u1", key="k1")
+    s = authed_session(node)
+    b = call(node, s, "get_roots", dataset="people")["roots"][1]["handle"]
+    path, journal = node.journal_dir / AUDIT_FILE, node.journal_dir / "ledger-user-u1.log"
+    node._audit_file.close()
+    node._audit_file = TornFile(path, 17, stuck=True)
+    with pytest.raises(OSError, match="Input/output error"):
+        call(node, s, "list_datasets")
+    torn, totals = path.read_bytes(), s.user.ledger.snapshot_bytes()
+    for op, params in (
+        ("publish", {"handle": b, "sigma": 300.0}),
+        ("simulate_publish", {"handle": b, "sigma": 300.0}),
+        ("auth", {"key": "k1"}),
+        ("no_such_op", {}),
+    ):
+        resp = call(node, s, op, **params)
+        assert resp["error"]["code"] == "bad_request", (op, resp)
+        assert AUDIT_FILE in resp["error"]["detail"], resp
+    assert s.user.ledger.snapshot_bytes() == totals == b""
+    assert journal.read_bytes() == b""
+    assert path.read_bytes() == torn
+    node.close()
+
+
+def test_a_torn_last_audit_line_is_cut_off_at_start_and_skipped_on_read(tmp_path, capsys):
+    node = make_node(tmp_path)
+    node.add_user("u1", key="k1")
+    authed_session(node)
+    path = node.journal_dir / AUDIT_FILE
+    whole = path.read_bytes()
+    node._audit_file.close()
+    node._audit_file = TornFile(path, 17, stuck=True)
+    with pytest.raises(OSError, match="Input/output error"):
+        call(node, authed_session(node), "list_datasets")
+    node.close()
+    torn = path.read_bytes()
+    assert torn.startswith(whole + b'{"ts":"20') and len(torn) == len(whole) + 17
+    # the reader skips the torn line, and the audit command prints the rest
+    assert [e["op"] for e in read_audit(node.journal_dir)["events"]] == ["auth"]
+    assert node_main(["audit", "--journal", str(node.journal_dir)]) == 0
+    assert capsys.readouterr().out.startswith("1 audited requests\n")
+    for restart in (1, 2):  # a start cuts it off, so each later line lands on its own
+        node = make_node(tmp_path)
+        node.add_user("u1", key="k1")
+        assert path.read_bytes().endswith(b"\n")
+        call(node, authed_session(node), "list_datasets")
+        node.close()
+        ops = [e["op"] for e in read_audit(node.journal_dir)["events"]]
+        assert ops == ["auth"] + ["auth", "list_datasets"] * restart
+    # any other line that is not JSON is named by path and line number
+    path.write_bytes(path.read_bytes() + b"{not json}\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:6: "):
+        read_audit(node.journal_dir)
+    assert node_main(["audit", "--journal", str(node.journal_dir)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}:6: ")
 
 
 def test_audit_command_reads_shared_and_per_user_journals(tmp_path, capsys):

@@ -364,6 +364,40 @@ def test_division_rejected_with_guidance():
         _ = a / a
 
 
+def test_number_operands_are_shifts_and_scales_bit_for_bit():
+    # x + c, c + x and x - c add the constant c or -c to the polynomial, c - x
+    # adds c to its negation and x * c scales it, each sharing x's inputs
+    def hexed(poly):
+        return [(m, coef.hex()) for m, coef in poly.items()]
+
+    x = mk("A", 1.5, -2.0, 3.0) * mk("B", 0.25, 0.0, 4.0) * 0.1 + mk("A", 1.5, -2.0, 3.0) + 0.3
+    for c in (3.0, -0.0, 0.0, 2.5, 0.1, -0.3, 1e-300, 7):
+        cases = (
+            (x + c, x.shift(c), x.poly + Polynomial.constant(c)),
+            (c + x, x.shift(c), x.poly + Polynomial.constant(c)),
+            (x - c, x.shift(-c), x.poly - Polynomial.constant(c)),
+            (c - x, (-x).shift(c), -x.poly + Polynomial.constant(c)),
+            (x * c, x.scale(c), x.poly.scale(c)),
+            (c * x, x.scale(c), x.poly.scale(c)),
+        )
+        for got, same, formula in cases:
+            assert hexed(got.poly) == hexed(same.poly) == hexed(formula), c
+            assert got.inputs is x.inputs
+
+
+def test_both_kinds_of_scalar_inherit_one_operator_set():
+    from pscalar.client import RemoteScalar
+    from pscalar.scalar import ScalarArithmetic
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__"):
+        for cls in (PrivateScalar, RemoteScalar):
+            assert name not in vars(cls) and getattr(cls, name) is getattr(ScalarArithmetic, name)
+    for bad in ("x", None, [1.0]):
+        with pytest.raises(TypeError):
+            _ = mk("A", 1.0, 0.0, 2.0) + bad
+
+
 def test_pow_rejects_bad_exponents():
     a = mk("A", 5.0, 0.0, 10.0)
     with pytest.raises(UnsupportedOperationError):

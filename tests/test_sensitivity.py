@@ -650,3 +650,14 @@ def test_square_of_sum_at_the_cap_bounds_every_entity_in_linear_time():
     elapsed = time.perf_counter() - t0
     assert {r.strategy for r in results} == {VERTEX_EXACT}
     assert elapsed < 0.2, f"{elapsed:.3f}s for {VERTEX_CAP} entities"
+
+
+def test_a_slope_coefficient_that_overflows_refuses_that_entity_alone():
+    # 1e308 * A^2 on [0, 1e-10] is at most about 1e288, so the value fits the
+    # box, but the slope in A is 2e308 * A, whose coefficient is not a float
+    query = (mk("A", 5e-11, 0.0, 1e-10) ** 2).scale(1e308) + mk("B", 0.5, 0.0, 1.0)
+    with pytest.raises(NonFiniteError, match="^the slope coefficient of A overflows a float$"):
+        spend_for_publish(query, 1.0)
+    with pytest.raises(NonFiniteError, match="slope coefficient of A"):
+        lipschitz_bound(query, A)
+    assert lipschitz_bound(query, B) == (B, 1.0, MONOTONE_CEILING, True)
