@@ -170,6 +170,9 @@ def test_operators_mean_the_same_on_local_and_remote_scalars(live):
             for divide in (lambda: a / 2.0, lambda: 2.5 / a, lambda: a / b):
                 with pytest.raises(refusal):
                     divide()
+        for mixed in (lambda: local[0] + remote[0], lambda: remote[0] * local[0]):
+            with pytest.raises(TypeError):  # neither kind combines with the other
+                mixed()
 
 
 def test_cross_session_mixing_rejected(live):
