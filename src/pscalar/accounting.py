@@ -180,9 +180,10 @@ def _write_all(file, data: bytes) -> None:
             raise
 
 
-def _cut_torn_line(path: Path) -> None:
-    """Create the file, or cut off its last line if that lacks a line break: a crash or a stuck
-    cut-back left it mid-append, and no writer had returned, so it is never a record."""
+def _open_record_file(path: Path):
+    """Create the file and its directory, cut off a last line that lacks a line break (a crash or
+    a stuck cut-back left it mid-append, so it is never a record), and return an append handle."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "ab+", buffering=0) as file:
         keep = end = file.seek(0, 2)
         cut = -1
@@ -193,6 +194,18 @@ def _cut_torn_line(path: Path) -> None:
             keep = start + cut + 1
         if keep < end:
             file.truncate(keep)
+    return open(path, "ab", buffering=0)
+
+
+def _record_lines(path: Path):
+    """Numbered non-blank lines of a record file; a torn last line is dropped before decoding,
+    so a cut inside a character is no error, and any other bad byte names the file."""
+    data = path.read_bytes()
+    try:
+        lines = str(memoryview(data)[: data.rfind(b"\n") + 1], "utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return ((lineno, line) for lineno, line in enumerate(lines, start=1) if line.strip())
 
 
 class PrivacyLedger:
@@ -223,29 +236,25 @@ class PrivacyLedger:
         self._lock = threading.RLock()
         self._journal = None
         if self.journal_path is not None:
-            self.journal_path.parent.mkdir(parents=True, exist_ok=True)
-            _cut_torn_line(self.journal_path)
-            self._replay_lines(self.journal_path.read_text(encoding="utf-8"))
-            self._journal = open(self.journal_path, "ab", buffering=0)
+            if self.journal_path.exists():  # replayed first, so a bad journal leaves nothing open
+                self._replay(self.journal_path)
+            self._journal = _open_record_file(self.journal_path)
 
     # -- replay -----------------------------------------------------------------
 
-    def _replay_lines(self, text: str) -> None:
+    def _replay(self, path: Path) -> None:
         last_id = None
-        # a last line without its line break is a torn append, not a record
-        for lineno, line in enumerate(text.rpartition("\n")[0].splitlines(), start=1):
-            if not line.strip():
-                continue
+        for lineno, line in _record_lines(path):
             parts = line.split("\t")
             if len(parts) != 4:
-                raise LedgerError(f"journal line {lineno}: expected 4 fields, got {len(parts)}")
+                raise LedgerError(f"{path}: journal line {lineno}: expected 4 fields, got {len(parts)}")
             publish_id, entity, rho_text, _ts = parts
             try:
                 rho = float(rho_text)
                 if not (math.isfinite(rho) and rho >= 0.0):  # no RdpSpend holds such a rho
                     raise ValueError
             except ValueError:
-                raise LedgerError(f"journal line {lineno}: bad rho {rho_text!r}") from None
+                raise LedgerError(f"{path}: journal line {lineno}: bad rho {rho_text!r}") from None
             self._cumulative[entity] = self._cumulative.get(entity, 0.0) + rho
             # ids resume after the largest of the form record writes, checked once per release
             if publish_id != last_id and re.fullmatch("p[0-9]+", publish_id):
@@ -256,7 +265,7 @@ class PrivacyLedger:
     def replayed(cls, journal_path: str | Path) -> "PrivacyLedger":
         """Rebuild ledger state from a journal without taking an append handle."""
         ledger = cls(mode=cls.REAL)
-        ledger._replay_lines(Path(journal_path).read_text(encoding="utf-8"))
+        ledger._replay(Path(journal_path))
         return ledger
 
     # -- state ---------------------------------------------------------------------
@@ -314,7 +323,7 @@ class PrivacyLedger:
             totals = self.totals_after(spends)
             if not totals:
                 raise LedgerError("a release that charges no entity is not recorded")
-            if self.journal_path is not None and getattr(self._journal, "closed", True):
+            if self._journal is not None and self._journal.closed:
                 raise LedgerError("the ledger's journal is closed")
             if JOURNAL_UNSAFE.search("".join(totals)):
                 raise LedgerError("an entity id holds a tab or a line break; a journal cannot")
@@ -338,7 +347,6 @@ class PrivacyLedger:
         with self._lock:
             if self._journal is not None:
                 self._journal.close()
-                self._journal = None
 
 
 def filter_check(ledger: PrivacyLedger, spends: list[RdpSpend], policy: BudgetPolicy) -> FilterDecision:

@@ -26,8 +26,9 @@ from .accounting import (
     JOURNAL_UNSAFE,
     BudgetPolicy,
     PrivacyLedger,
-    _cut_torn_line,
     _now_iso,
+    _open_record_file,
+    _record_lines,
     _write_all,
     remaining_budget,
 )
@@ -231,7 +232,10 @@ def load_users_file(journal_dir: str | Path) -> list[dict]:
     path = Path(journal_dir) / USERS_FILE
     if not path.exists():
         return []
-    data = json.loads(path.read_text(encoding="utf-8"))
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ValueError(f"{path}: {exc}") from None
     if not isinstance(data, list):
         raise ValueError(f"{path}: expected a JSON list")
     for i, u in enumerate(data):
@@ -266,14 +270,15 @@ def read_audit(journal_dir: str | Path) -> dict:
     """
     journal = Path(journal_dir)
     audit_path = journal / AUDIT_FILE
-    text = audit_path.read_text(encoding="utf-8") if audit_path.exists() else ""
     events = []
-    # a last line without its line break is a torn append, not a request's record
-    for lineno, line in enumerate(text.rpartition("\n")[0].splitlines(), start=1):
+    for lineno, line in _record_lines(audit_path) if audit_path.exists() else ():
         try:
-            events += [json.loads(line)] if line.strip() else []
+            event = json.loads(line)
         except ValueError as exc:
             raise ValueError(f"{audit_path}:{lineno}: {exc}") from None
+        if not isinstance(event, dict):
+            raise ValueError(f"{audit_path}:{lineno}: expected a JSON object")
+        events.append(event)
     return {
         "events": events,
         "cumulative": {
@@ -315,9 +320,7 @@ class Node:
         self._audit_file = None
         try:  # a start that fails closes what it opened
             if self.journal_dir is not None:
-                self.journal_dir.mkdir(parents=True, exist_ok=True)
-                _cut_torn_line(self.journal_dir / AUDIT_FILE)
-                self._audit_file = open(self.journal_dir / AUDIT_FILE, "ab", buffering=0)
+                self._audit_file = _open_record_file(self.journal_dir / AUDIT_FILE)
                 for record in load_users_file(self.journal_dir):
                     self.add_user(record["name"], record["key"])
             if config.shared_ledger:
@@ -378,7 +381,7 @@ class Node:
         session's cached head; the encoder runs only for the rare fields, and
         ``released``, which most requests of a left fold carry, is an int.
         """
-        if getattr(self._audit_file, "closed", True):  # none, or closed by a failed append
+        if self._audit_file is None or self._audit_file.closed:  # by close() or a failed append
             return
         ok = resp["ok"]
         rare = {}
@@ -396,14 +399,13 @@ class Node:
             f',"released":{released}}}\n' if released else "}\n",
         )).encode()
         with self._audit_lock:
-            if not getattr(self._audit_file, "closed", True):
+            if not self._audit_file.closed:
                 _write_all(self._audit_file, line)
 
     def close(self) -> None:
         with self._audit_lock:
             if self._audit_file is not None:
                 self._audit_file.close()
-                self._audit_file = None
         for ledger in self._ledgers.values():
             ledger.close()
 
@@ -415,7 +417,7 @@ class Node:
         op = msg.get("op")
         released = 0
         try:
-            if getattr(self._audit_file, "closed", False):  # as a release on a closed journal
+            if self._audit_file is not None and self._audit_file.closed:  # like a closed journal
                 raise NodeError("bad_request", f"the node's audit log {AUDIT_FILE} is closed")
             if rid is None:
                 raise NodeError("bad_request", "request id must be an integer")

@@ -49,7 +49,7 @@ from pscalar.wire import (
     scalar_summary,
     spend_wire,
 )
-from pscalar.accounting import LedgerError, RdpSpend
+from pscalar.accounting import LedgerError, PrivacyLedger, RdpSpend
 from pscalar.mechanism import PublishReceipt
 from pscalar.scalar import EntityInput
 
@@ -973,13 +973,27 @@ def test_a_users_file_entry_of_the_wrong_shape_is_one_error_line(
 ):
     # each command reads the file; a bad entry is one error line, not a KeyError,
     # TypeError or AttributeError traceback
+    text = json.dumps(users).encode()
+    err = _run_on_users_file(tmp_path, capsys, monkeypatch, command, text)
+    assert err == (
+        f"error: {tmp_path / 'state' / 'users.json'}: entry {index} must be an object"
+        " with a string name and key\n"
+    )
+
+
+def _run_on_users_file(tmp_path, capsys, monkeypatch, command, text: bytes) -> str:
+    """Run a node command over a state directory whose ``users.json`` holds ``text``.
+
+    The command must fail with nothing on stdout and leave the file as it was; the stderr
+    text is returned.
+    """
     def no_server(*args, **kwargs):
         raise AssertionError("the node started serving")
 
     monkeypatch.setattr(cli, "NodeTCPServer", no_server)
     journal = tmp_path / "state"
     journal.mkdir()
-    (journal / "users.json").write_text(json.dumps(users), encoding="utf-8")
+    (journal / "users.json").write_bytes(text)
     csv = good_csv(tmp_path, "entity,value,floor,ceiling\nA,3,0,10\n", "people.csv")
     argv = {
         "serve": ["serve", "--data", str(csv), "--port", "0", "--eps", "2", "--delta", "1e-6"],
@@ -989,12 +1003,9 @@ def test_a_users_file_entry_of_the_wrong_shape_is_one_error_line(
     assert node_main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (
-        f"error: {journal / 'users.json'}: entry {index} must be an object"
-        " with a string name and key\n"
-    )
-    assert json.loads((journal / "users.json").read_text(encoding="utf-8")) == users
+    assert (journal / "users.json").read_bytes() == text
     gc.collect()  # a file left open fails the test through the ResourceWarning filter
+    return captured.err
 
 
 @pytest.mark.parametrize("rho", ["nan", "inf", "-1.0"])
@@ -1212,6 +1223,134 @@ def test_a_torn_last_audit_line_is_cut_off_at_start_and_skipped_on_read(tmp_path
         read_audit(node.journal_dir)
     assert node_main(["audit", "--journal", str(node.journal_dir)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {path}:6: ")
+
+
+def _whole_lines(data: bytes) -> list[str]:
+    """The lines of ``data`` that end in a line break, decoded: what a reader may return."""
+    return data[: data.rfind(b"\n") + 1].decode("utf-8").splitlines()
+
+
+def test_every_cut_of_the_journal_and_audit_file_reads_as_its_whole_lines(tmp_path, capsys):
+    # entities of 2-, 3- and 4-byte UTF-8 characters, so that some cuts end inside one
+    node = make_node(tmp_path, shared=True, subdir="whole")
+    serve_csv(
+        tmp_path, node, "entity,value,floor,ceiling\nÉlodie,40,0,122\n€,7,0,122\n𝔸,9,0,122\n"
+    )
+    node.add_user("u1", key="k1")
+    s = authed_session(node)
+    roots = [r["handle"] for r in call(node, s, "get_roots", dataset="people")["roots"]]
+    total = call(node, s, "fold", kind="sum", handles=roots)["handle"]
+    for sigma in (300.0, 400.0, 0.0001):  # two releases and a refusal
+        call(node, s, "publish", handle=total, sigma=sigma)
+    node.close()
+    journal_name = "ledger-shared.log"
+    whole = {name: (tmp_path / "whole" / name).read_bytes() for name in (journal_name, AUDIT_FILE)}
+    assert whole[journal_name].count(b"\n") == 6 and "𝔸".encode() in whole[journal_name]
+
+    def totals(data):
+        want: dict[str, float] = {}
+        for line in _whole_lines(data):  # added in file order, as replay adds them
+            _, entity, rho, _ = line.split("\t")
+            want[entity] = want.get(entity, 0.0) + float(rho)
+        return want
+
+    for torn in whole:
+        for cut in range(len(whole[torn])):
+            files = {name: data[:cut] if name == torn else data for name, data in whole.items()}
+            state = tmp_path / f"{torn}-{cut}"
+            state.mkdir()
+            for name, data in files.items():
+                (state / name).write_bytes(data)
+            want_totals = totals(files[journal_name])
+            want_events = [json.loads(line) for line in _whole_lines(files[AUDIT_FILE])]
+            assert read_audit(state) == {
+                "events": want_events, "cumulative": {"shared": want_totals}
+            }, (torn, cut)
+            assert node_main(["audit", "--journal", str(state)]) == 0
+            assert capsys.readouterr().out.startswith(f"{len(want_events)} audited requests\n")
+            journal = state / journal_name
+            assert PrivacyLedger.replayed(journal).cumulative == want_totals
+            reopened = PrivacyLedger(journal_path=journal)
+            assert reopened.cumulative == want_totals, (torn, cut)
+            reopened.close()
+            kept = files[journal_name]
+            assert journal.read_bytes() == kept[: kept.rfind(b"\n") + 1]  # the torn line cut off
+
+
+def test_a_closed_node_refuses_every_op_and_writes_no_audit_line(tmp_path):
+    node = make_node(tmp_path)
+    serve_csv(tmp_path, node)
+    node.add_user("u1", key="k1")
+    s = authed_session(node)
+    a = call(node, s, "get_roots", dataset="people")["roots"][0]["handle"]
+    path = tmp_path / "state" / AUDIT_FILE
+    node.close()
+    before = path.read_bytes()
+    for op, params in (
+        ("unop", {"kind": "scale", "handle": a, "c": 2.0}),
+        ("describe", {"handle": a}),
+        ("auth", {"key": "k1"}),
+    ):
+        resp = call(node, s, op, **params)
+        assert resp["error"]["code"] == "bad_request", (op, resp)
+        assert AUDIT_FILE in resp["error"]["detail"], resp
+    assert path.read_bytes() == before
+    # a node without a state directory has no audit file, and serves after close()
+    node = Node(NodeConfig(eps_cap=6.0, delta=1e-6))
+    serve_csv(tmp_path, node)
+    node.add_user("u1", key="k1")
+    node.close()
+    s = authed_session(node)
+    a = call(node, s, "get_roots", dataset="people")["roots"][0]["handle"]
+    assert call(node, s, "unop", kind="scale", handle=a, c=2.0)["ok"]
+    assert call(node, s, "describe", handle=a)["ok"]
+
+
+def test_a_bad_journal_is_named_by_its_file(tmp_path, capsys):
+    # the audit command and a node start on a directory with two journals name the bad one
+    state = tmp_path / "state"
+    users_add(state, "a")
+    users_add(state, "b")
+    line = "p000001\tA\t0.5\t2026-01-01T00:00:00+00:00\n"
+    (state / "ledger-user-a.log").write_text(line, encoding="utf-8")
+    bad = state / "ledger-user-b.log"
+    for tail, error in (
+        (b"p000002\tA\n", f"{bad}: journal line 2: expected 4 fields, got 2"),
+        (b"p000002\tA\tx\t2026\n", f"{bad}: journal line 2: bad rho 'x'"),
+        (b"p000002\t\xff\t0.5\t2026\n", f"{bad}: 'utf-8' codec can't decode"),
+    ):
+        bad.write_bytes(line.encode() + tail)
+        assert node_main(["audit", "--journal", str(state)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {error}") and captured.err.count("\n") == 1
+        with pytest.raises(ValueError, match=f"^{re.escape(error)}"):
+            Node(NodeConfig(eps_cap=1.0, delta=1e-6, journal_dir=state))
+        gc.collect()  # the files it opened are closed, or the ResourceWarning filter fails
+
+
+@pytest.mark.parametrize(
+    "text", [b'[{"name": "a", "key": "k"},\n', b"\xff[]"], ids=["not_json", "not_utf8"]
+)
+@pytest.mark.parametrize("command", ["serve", "list", "add"])
+def test_a_users_file_that_is_not_json_is_one_error_line_naming_it(
+    tmp_path, capsys, monkeypatch, command, text
+):
+    err = _run_on_users_file(tmp_path, capsys, monkeypatch, command, text)
+    assert err.startswith(f"error: {tmp_path / 'state' / 'users.json'}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("line", [b"[1]", b'"auth"', b"3", b"null"])
+def test_an_audit_line_that_is_not_an_object_is_named_by_path_and_line(tmp_path, capsys, line):
+    node = make_node(tmp_path)
+    node.add_user("u1", key="k1")
+    authed_session(node)
+    node.close()
+    path = node.journal_dir / AUDIT_FILE
+    path.write_bytes(path.read_bytes() + line + b"\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:2: expected a JSON object$"):
+        read_audit(node.journal_dir)
+    assert node_main(["audit", "--journal", str(node.journal_dir)]) == 1
+    assert capsys.readouterr().err == f"error: {path}:2: expected a JSON object\n"
 
 
 def test_audit_command_reads_shared_and_per_user_journals(tmp_path, capsys):
