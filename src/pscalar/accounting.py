@@ -21,6 +21,7 @@ import threading
 import time
 from operator import attrgetter
 from pathlib import Path
+from typing import Iterable, Mapping
 
 from .poly import VarId, _SlotsRecord, _tuple_record
 from .scalar import PrivateScalar
@@ -364,9 +365,36 @@ def filter_check(ledger: PrivacyLedger, spends: list[RdpSpend], policy: BudgetPo
     return FilterDecision(ok=not violations, violations=tuple(violations))
 
 
+def remaining_eps(total: float, policy: BudgetPolicy) -> float:
+    """Converted epsilon still available at a cumulative rho of ``total`` (floored at zero)."""
+    return max(0.0, policy.eps_cap - rdp_to_dp(total, policy.delta))
+
+
 def remaining_budget(ledger: PrivacyLedger, entity: str, policy: BudgetPolicy) -> float:
     """Converted epsilon still available to one entity (floored at zero)."""
-    return max(0.0, policy.eps_cap - rdp_to_dp(ledger.total(entity), policy.delta))
+    return remaining_eps(ledger.total(entity), policy)
+
+
+def least_remaining(
+    totals: Mapping[str, float], entities: Iterable[str], policy: BudgetPolicy
+) -> tuple[float, str]:
+    """The least remaining epsilon over ``entities`` and the smallest name left with it.
+
+    An entity missing from ``totals`` has spent nothing.  Remaining epsilon
+    never rises with the total, so the distinct totals are converted from the
+    largest down, stopping at the first one that leaves more.
+    """
+    names_by_total: dict[float, list[str]] = {}
+    for e in entities:
+        names_by_total.setdefault(totals.get(e, 0.0), []).append(e)
+    least, names = math.inf, []
+    for total in sorted(names_by_total, reverse=True):
+        eps = remaining_eps(total, policy)
+        if eps > least:
+            break
+        least = eps
+        names += names_by_total[total]
+    return least, min(names)
 
 
 def calibrate_sigma(scalar: PrivateScalar, ledger: PrivacyLedger, policy: BudgetPolicy) -> float:

@@ -30,7 +30,8 @@ from .accounting import (
     _open_record_file,
     _record_lines,
     _write_all,
-    remaining_budget,
+    least_remaining,
+    remaining_eps,
 )
 from .mechanism import BudgetRejected, GaussianNoiseSource, publish, simulate_publish
 from .poly import Polynomial, PolynomialError, TermLimitError, VarId, _SlotsRecord, _tuple_record
@@ -580,19 +581,21 @@ class Node:
 
     def _op_remaining_budget(self, session: NodeSession, msg: dict) -> dict:
         entity = self._want_str(msg, "entity")
-        ledger, policy = session.user.ledger, self.policy
-        known = self._entities | ledger.entities()
+        policy = self.policy
+        # one snapshot, so a release on another connection lands before or after the answer
+        totals = session.user.ledger.cumulative
+        known = self._entities.union(totals)
         if entity == "*":
-            return {"remaining": {e: remaining_budget(ledger, e, policy) for e in sorted(known)}}
+            return {"remaining": {e: remaining_eps(totals.get(e, 0.0), policy)
+                                  for e in sorted(known)}}
         if entity == "min":
             if not known:
                 return {"eps": policy.eps_cap, "entity": None}
-            # a tie goes to the smallest name
-            eps, worst = min((remaining_budget(ledger, e, policy), e) for e in known)
+            eps, worst = least_remaining(totals, known, policy)
             return {"eps": eps, "entity": worst}
         if entity not in known:
             raise NodeError("unknown_entity", f"no entity named {entity!r}")
-        return {"eps": remaining_budget(ledger, entity, policy), "entity": entity}
+        return {"eps": remaining_eps(totals.get(entity, 0.0), policy), "entity": entity}
 
     def _op_drop(self, session: NodeSession, msg: dict) -> dict:
         self.store.drop([self._want_str(msg, "handle")], session.user.name)

@@ -14,6 +14,7 @@ TERM_LIMIT = 100_000
 PAIR_LIMIT = 2 * TERM_LIMIT
 
 _exponent = itemgetter(1)  # of a (variable, exponent) pair
+_new_tuple = tuple.__new__
 
 
 class PolynomialError(ValueError):
@@ -114,10 +115,7 @@ class Monomial(_tuple_record("Monomial", "powers", defaults=((),))):
             return Monomial(a + b)
         if b[-1][0] < a[0][0]:
             return Monomial(b + a)
-        merged = dict(a)
-        for v, e in b:
-            merged[v] = merged.get(v, 0) + e
-        return Monomial(tuple(sorted(merged.items())))
+        return _merged(a, b)
 
     def __str__(self) -> str:
         if not self.powers:
@@ -125,6 +123,14 @@ class Monomial(_tuple_record("Monomial", "powers", defaults=((),))):
         return "*".join(
             [f"x[{v.label()}]" if e == 1 else f"x[{v.label()}]^{e}" for v, e in self.powers]
         )
+
+
+def _merged(a: tuple, b: tuple) -> Monomial:
+    """The product of two monomials' powers that share a variable or interleave."""
+    merged = dict(a)
+    for v, e in b:
+        merged[v] = merged.get(v, 0) + e
+    return _new_tuple(Monomial, (tuple(sorted(merged.items())),))
 
 
 _UNIT = Monomial()
@@ -192,6 +198,20 @@ def _merge_terms(out: dict[Monomial, float], p: "Polynomial", degree: int | None
     if degree is None:
         return None
     return max(degree, p.degree() if p._degree is None else p._degree)
+
+
+def _collected(terms: dict[Monomial, float], degree: int | None) -> "Polynomial":
+    """The polynomial over freshly computed ``terms``, of degree ``degree`` if none is 0.0.
+
+    Exact zeros are dropped, leaving the degree to be computed when asked for;
+    a non-finite coefficient raises the constructor's NonFiniteError.
+    """
+    coefficients = terms.values()
+    if not all(map(math.isfinite, coefficients)):
+        Polynomial(terms)  # raises NonFiniteError naming the first such term
+    if 0.0 in coefficients:
+        return Polynomial._canonical({m: c for m, c in terms.items() if c != 0.0})
+    return Polynomial._canonical(terms, degree)
 
 
 def _grlex_key(m: Monomial) -> tuple:
@@ -287,19 +307,40 @@ class Polynomial:
 
     def scale(self, c) -> "Polynomial":
         c = _require_finite(c, "scale factor")
-        return Polynomial({m: c * coeff for m, coeff in self._terms.items()})
+        return _collected({m: c * coeff for m, coeff in self._terms.items()}, self._degree)
 
     def mul(self, other: "Polynomial") -> "Polynomial":
         if len(self._terms) * len(other._terms) > PAIR_LIMIT:
             raise TermLimitError(f"product exceeds the work cap of {PAIR_LIMIT} term pairs")
         out: dict[Monomial, float] = {}
+        get = out.get
+        # each of other's terms once: its monomial, powers, first and last variable
+        row = []
+        for m2, c2 in other._terms.items():
+            b = m2.powers
+            row.append((m2, b, b[0][0], b[-1][0], c2) if b else (m2, b, None, None, c2))
         for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                m = m1 * m2
-                out[m] = out.get(m, 0.0) + c1 * c2
+            a = m1.powers
+            if not a:
+                for m2, _, _, _, c2 in row:
+                    out[m2] = get(m2, 0.0) + c1 * c2
+            else:
+                a_first, a_last = a[0][0], a[-1][0]
+                for m2, b, b_first, b_last, c2 in row:
+                    # as Monomial.__mul__, building no tuple where one operand is 1
+                    if not b:
+                        m = m1
+                    elif a_last < b_first:
+                        m = _new_tuple(Monomial, (a + b,))
+                    elif b_last < a_first:
+                        m = _new_tuple(Monomial, (b + a,))
+                    else:
+                        m = _merged(a, b)
+                    out[m] = get(m, 0.0) + c1 * c2
             if len(out) > TERM_LIMIT:
                 raise TermLimitError(f"product exceeds the term cap of {TERM_LIMIT} terms")
-        return Polynomial(out)
+        # with no term lost, the product of two leading terms keeps the top degree
+        return _collected(out, self.degree() + other.degree() if out else 0)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
@@ -309,14 +350,19 @@ class Polynomial:
     def power(self, k: int) -> "Polynomial":
         if not isinstance(k, int) or k < 0:
             raise PolynomialError(f"exponent must be a non-negative integer, got {k!r}")
-        out = Polynomial.constant(1.0)
+        if k == 0:
+            return Polynomial.constant(1.0)
         base = self
+        while not k & 1:
+            base = base.mul(base)
+            k >>= 1
+        out = base  # the first factor: a product by 1.0 would be exact
+        k >>= 1
         while k:
+            base = base.mul(base)
             if k & 1:
                 out = out.mul(base)
             k >>= 1
-            if k:
-                base = base.mul(base)
         return out
 
     def __pow__(self, k: int) -> "Polynomial":

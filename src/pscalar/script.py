@@ -18,6 +18,9 @@ Each line is one step object.  Step kinds:
 - ``{"step": "connect", "as": NAME, "key_env": ENVVAR}`` - open a second
   session (api key read from the environment).
 
+Number fields take JSON numbers and no booleans: ``k`` and ``index`` an
+integer, ``c``, ``sigma``, ``at_least`` and ``at_most`` any number.
+
 Any step may carry ``"session": NAME`` to run on a session opened by a
 ``connect`` step; the default session is ``"main"``.  The REPL's lines
 (``_Repl``) are the same steps as words.
@@ -81,6 +84,20 @@ def parse_script(path: str | Path) -> list[dict]:
 _BUDGET_NOTED = ("simulate", "publish", "expect_reject")
 # what a failed step raises, in a script run and at the REPL prompt alike
 _STEP_FAILURES = (ClientError, KeyError, IndexError, TypeError, ValueError)
+
+
+# the number fields of steps, and the type each is read as
+_NUMBER_FIELDS = {"k": int, "index": int, "c": float, "sigma": float, "at_least": float,
+                  "at_most": float}
+
+
+def _number(step: dict, name: str):
+    """``step[name]`` as its field's type: an int for an int field, a bool never."""
+    kind, value = _NUMBER_FIELDS[name], step[name]
+    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
+        what = "an integer" if kind is int else "a number"
+        raise ScriptError(f"{name!r} must be {what}, got {value!r}")
+    return kind(value)
 
 
 class _Runner:
@@ -158,16 +175,16 @@ class _Runner:
             if not isinstance(arg, list):
                 raise ScriptError(f"op {kind} needs a list binding")
             if kind == "pick":
-                result = arg[int(step["index"])]
+                result = arg[_number(step, "index")]
             else:
                 result = (session.sum_of if kind == "sum" else session.product_of)(arg)
         elif kind in BINARY_OPS:
             a, b = self.scalar_binding(step["a"]), self.scalar_binding(step["b"])
             result = BINARY_OPS[kind](a, b)
         elif kind in ("scale", "shift"):
-            result = getattr(self.scalar_binding(step["arg"]), kind)(float(step["c"]))
+            result = getattr(self.scalar_binding(step["arg"]), kind)(_number(step, "c"))
         elif kind == "pow":
-            result = self.scalar_binding(step["arg"]) ** int(step["k"])
+            result = self.scalar_binding(step["arg"]) ** _number(step, "k")
         elif kind == "neg":
             result = -self.scalar_binding(step["arg"])
         else:
@@ -189,7 +206,7 @@ class _Runner:
     def step_simulate(self, step: dict) -> str:
         session = self.session_for(step)
         target = self.scalar_binding(step["target"])
-        sigma = float(step["sigma"])
+        sigma = _number(step, "sigma")
         result = session.simulate(target, sigma)
         expect = step.get("expect")
         if expect == "pass" and not result.passed:
@@ -202,7 +219,7 @@ class _Runner:
     def step_publish(self, step: dict) -> str:
         session = self.session_for(step)
         target = self.scalar_binding(step["target"])
-        sigma = float(step["sigma"])
+        sigma = _number(step, "sigma")
         expect = step.get("expect", "pass")
         try:
             result = session.publish(target, sigma)
@@ -249,9 +266,9 @@ class _Runner:
         current = session.remaining_budget(entity)
         if not isinstance(current, (int, float)):
             raise ScriptError("assert_budget bounds need a single-entity or 'min' query")
-        if "at_least" in step and current < float(step["at_least"]):
+        if "at_least" in step and current < _number(step, "at_least"):
             raise ScriptError(f"budget {current} below expected minimum {step['at_least']}")
-        if "at_most" in step and current > float(step["at_most"]):
+        if "at_most" in step and current > _number(step, "at_most"):
             raise ScriptError(f"budget {current} above expected maximum {step['at_most']}")
         return f"budget {entity}: {current:.6g} within bounds"
 
@@ -277,6 +294,11 @@ _STEP_WORDS = {
 }
 
 
+def _fields(names: tuple, words: list[str]) -> dict:
+    """Step fields from REPL words, a number field's word read by int() or float()."""
+    return {name: _NUMBER_FIELDS.get(name, str)(word) for name, word in zip(names, words)}
+
+
 def _repl_step(cmd: str, rest: list[str]) -> dict:
     """The script step that a REPL line stands for."""
     if cmd == "load":  # load DATASET as NAME
@@ -288,10 +310,10 @@ def _repl_step(cmd: str, rest: list[str]) -> dict:
             raise ScriptError("usage: let NAME = KIND ARGS...")
         kind = rest[2]
         return {"step": "op", "kind": kind, "as": rest[0],
-                **dict(zip(_LET_FIELDS.get(kind, ()), rest[3:]))}
+                **_fields(_LET_FIELDS.get(kind, ()), rest[3:])}
     if cmd in _STEP_WORDS:
         kind, fields = _STEP_WORDS[cmd]
-        return {"step": kind, **dict(zip(fields, rest))}
+        return {"step": kind, **_fields(fields, rest)}
     raise ScriptError(
         f"unknown command {cmd!r} "
         "(try: datasets load let describe simulate publish budget fork quit)"

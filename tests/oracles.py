@@ -9,6 +9,8 @@ Contents:
 * symbolic differentiation + dense-grid suprema for worst-case-slope checks
   (``diff_terms``, ``grid_max_abs``, ``eval_terms``), and corner suprema by
   enumeration (``corner_max_abs``) or by a numpy fold (``corner_fold_max_abs``)
+* products, powers and scalings of term lists in the package's order of
+  float operations (``mul_terms``, ``power_terms``, ``scale_terms``)
 * golden-section minimisation of the order-to-(eps, delta) conversion curve
   (``golden_eps``, ``rho_cap``)
 * log-domain quadrature of the Renyi divergence between two equal-variance
@@ -120,6 +122,60 @@ def corner_fold_max_abs(terms, names, box: dict) -> float:
             lo, hi = box[n]
             a = np.stack((a[0] + lo * a[1], a[0] + hi * a[1]), axis=-1)
         return float(np.abs(a).max())
+
+
+def mul_terms(p, q):
+    """Every monomial of the product p*q with its accumulated coefficient.
+
+    Pairs are formed row by row: each term of p, in order, times each term of
+    q, in order, and a monomial's coefficient is the running float sum of its
+    pair products, starting from 0.0.  Monomials are listed in the order they
+    were first formed.  Sums of exactly zero and non-finite sums are kept.
+    """
+    out: dict = {}
+    for c1, pw1 in p:
+        for c2, pw2 in q:
+            powers = dict(pw1)
+            for name, exp in pw2.items():
+                powers[name] = powers.get(name, 0) + exp
+            key = frozenset(powers.items())
+            out[key] = out.get(key, 0.0) + c1 * c2
+    return [(c, dict(key)) for key, c in out.items()]
+
+
+def scale_terms(terms, c: float):
+    """Every term of the list times c, in order; zero and non-finite products are kept."""
+    return [(c * coeff, powers) for coeff, powers in terms]
+
+
+def _nonzero(terms):
+    if not all(math.isfinite(c) for c, _ in terms):
+        raise OverflowError("a coefficient is not finite")
+    return [(c, powers) for c, powers in terms if c != 0.0]
+
+
+def power_terms(terms, k: int):
+    """The k-th power of a term list, with zero sums dropped after each product.
+
+    Square-and-multiply over the bits of k from the lowest set one up: the
+    running result starts as the base squared that many times (no product by
+    1), and each later set bit multiplies it, on the left, by the base squared
+    once more per bit.  Raises OverflowError once any coefficient is not finite.
+    """
+    if k == 0:
+        return [(1.0, {})]
+    base = _nonzero(terms)
+    while k % 2 == 0:
+        base = _nonzero(mul_terms(base, base))
+        k //= 2
+    out = base
+    k //= 2
+    while k:
+        base = _nonzero(mul_terms(base, base))
+        if k % 2:
+            out = _nonzero(mul_terms(out, base))
+        k //= 2
+    return out
 
 
 # -- conversion reference -------------------------------------------------------------

@@ -24,6 +24,7 @@ from pscalar.accounting import (
     RdpSpend,
     calibrate_sigma,
     filter_check,
+    least_remaining,
     rdp_to_dp,
     remaining_budget,
     spend_for_publish,
@@ -676,6 +677,62 @@ def test_remaining_budget_frozen():
     assert remaining_budget(led, "A", pol) == pytest.approx(6.0 - golden_eps(0.5, 1e-6), rel=1e-9)
     led.record([_spend("A", 50.0)])
     assert remaining_budget(led, "A", pol) == 0.0  # clamped, never negative
+
+
+_POLICY = BudgetPolicy(eps_cap=6.0, delta=1e-6)
+
+
+def _totals_pool():
+    """Totals that tie: one ulp apart with the same epsilon, at and over the cap, and zero."""
+    cap = _POLICY.rho_cap
+    pool = [0.0, cap, math.nextafter(cap, 0.0), math.nextafter(cap, math.inf), 2 * cap, 1e6]
+    for t in (0.01, 0.5, 3.0):
+        up = math.nextafter(t, math.inf)
+        while rdp_to_dp(up, _POLICY.delta) == rdp_to_dp(t, _POLICY.delta):
+            pool.append(up)  # a neighbour no conversion tells apart from t
+            up = math.nextafter(up, math.inf)
+        pool += [t, up]
+    return pool
+
+
+_POOL = _totals_pool()
+
+
+def remaining_budget_of(total):
+    led = PrivacyLedger()
+    led.record([_spend("e", total)])
+    return remaining_budget(led, "e", _POLICY)
+
+
+def test_the_totals_pool_holds_distinct_totals_that_convert_alike():
+    eps_of = {t: remaining_budget_of(t) for t in _POOL}
+    assert len(set(_POOL)) > len(set(eps_of.values()))
+    assert any(a != b and eps_of[a] == eps_of[b] > 0.0 for a in _POOL for b in _POOL)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.dictionaries(st.text("abcdef", min_size=1, max_size=2), st.sampled_from(_POOL),
+                    min_size=1, max_size=12),
+    st.sets(st.text("abcdef", min_size=1, max_size=2), max_size=4),
+)
+def test_least_remaining_is_the_min_over_every_entity(charged, untouched):
+    led = PrivacyLedger()
+    for e, total in charged.items():
+        led.record([_spend(e, total)])
+    known = set(charged) | untouched
+    want = min((remaining_budget(led, e, _POLICY), e) for e in known)
+    assert least_remaining(led.cumulative, known, _POLICY) == want
+
+
+def test_least_remaining_converts_only_the_totals_it_needs(monkeypatch):
+    calls = []
+    convert = accounting.rdp_to_dp
+    monkeypatch.setattr(accounting, "rdp_to_dp", lambda rho, delta: calls.append(rho) or
+                        convert(rho, delta))
+    totals = {f"e{i:03d}": 0.001 * i for i in range(280)}
+    assert least_remaining(totals, totals, _POLICY)[1] == "e279"
+    assert calls == [totals["e279"], totals["e278"]]
 
 
 # -- calibration -----------------------------------------------------------------------

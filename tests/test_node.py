@@ -641,6 +641,34 @@ def test_min_budget_is_the_least_remaining_and_ties_go_to_the_smallest_name(tmp_
     node.close()
 
 
+def test_a_budget_answer_reads_the_ledger_once(tmp_path):
+    # one snapshot: a release on another connection cannot land inside one answer
+    node = make_node(tmp_path)
+    serve_csv(tmp_path, node)
+    node.add_user("u1", key="k1")
+    s = authed_session(node)
+    ledger = node._ledger_for("u1")
+    ledger.record([RdpSpend(VarId(e), 0.01 * i, 1.0) for i, e in enumerate("ABC", 1)])
+
+    class CountingLock:
+        def __init__(self, lock):
+            self.lock, self.entered = lock, 0
+
+        def __enter__(self):
+            self.entered += 1
+            return self.lock.__enter__()
+
+        def __exit__(self, *exc):
+            return self.lock.__exit__(*exc)
+
+    ledger._lock = lock = CountingLock(ledger._lock)
+    for entity in ("*", "min", "A"):
+        lock.entered = 0
+        assert call(node, s, "remaining_budget", entity=entity)["ok"]
+        assert lock.entered == 1, entity
+    node.close()
+
+
 def test_sigma_whose_square_is_not_normal_is_a_bad_request(tmp_path):
     node = make_node(tmp_path)
     serve_csv(tmp_path, node)

@@ -55,8 +55,8 @@ def test_tracer_hooks_reach_every_layer(tmp_path):
     metrics = json.loads(proc.stdout.strip().splitlines()[-1])
     for name in ("sensitivity.bound_calls", "accounting.record_s", "accounting.fork_s",
                  "accounting.replay_s", "accounting.rdp_to_dp_calls", "mechanism.publish_s",
-                 "node.audit_s", "node.ingest_s"):
-        assert metrics[name] > 0, name
+                 "node.audit_s", "node.ingest_s", "poly.mul_s"):
+        assert metrics[name] > 0, name  # poly.mul_s: the binop kind=mul reaches Polynomial.mul
     # one traced bound per entity, although one sweep bounds both, and the
     # release reads the slopes its rehearsal kept
     assert metrics["sensitivity.bound_calls"] == 2

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import corner_max_abs, eval_terms, grid_max_abs
+from oracles import corner_max_abs, eval_terms, grid_max_abs, mul_terms, power_terms, scale_terms
 from conftest import random_scalar, to_terms
 from pscalar import poly
 from pscalar.poly import (
@@ -176,6 +176,106 @@ def test_term_limit_enforced(monkeypatch):
         many = many + v
     with pytest.raises(TermLimitError):
         many.power(8)
+
+
+# -- the product kernel against the reference, float for float --------------------------
+
+# entity-only and attributed variables, so monomials join either way round, interleave
+# (A < A:kg < B) and overlap
+_KVARS = [VarId("A"), VarId("A", "kg"), VarId("B"), VarId("C")]
+_BY_LABEL = {v.label(): v for v in _KVARS}
+# small integers cancel exactly; random mantissas round, so the order of float
+# operations shows; 1e200 overflows a product and 1e-200 underflows one to 0.0
+_KCOEFFS = st.one_of(
+    st.integers(-3, 3).filter(bool).map(float),
+    st.floats(-10.0, 10.0).filter(lambda c: abs(c) > 1e-3),
+    st.sampled_from([1e200, -1e200, 1e-200, -3e-200]),
+)
+
+
+def _kernel_polys(max_terms=5, max_exp=3, coeffs=_KCOEFFS):
+    mono = st.dictionaries(st.sampled_from(_KVARS), st.integers(1, max_exp), max_size=3).map(
+        lambda powers: Monomial(tuple(sorted(powers.items())))
+    )
+    return st.dictionaries(mono, coeffs, max_size=max_terms).map(Polynomial)
+
+
+def _raw(p: Polynomial):
+    return [(c, {v.label(): e for v, e in m.powers}) for m, c in p.items()]
+
+
+def _hex(terms):
+    return [(c.hex(), powers) for c, powers in terms]
+
+
+def _assert_kernel_result(got_call, raw):
+    """The kernel's answer is the reference's nonzero terms in order, or its first non-finite."""
+    bad = [(c, powers) for c, powers in raw if not math.isfinite(c)]
+    if bad:
+        c, powers = bad[0]
+        term = Monomial(tuple(sorted((_BY_LABEL[n], e) for n, e in powers.items())))
+        with pytest.raises(NonFiniteError) as err:
+            got_call()
+        assert str(err.value) == f"non-finite coefficient {c!r} on term {term}"
+        return
+    got = got_call()
+    want = [(c, powers) for c, powers in raw if c != 0.0]
+    assert _hex(_raw(got)) == _hex(want)
+    assert got.degree() == max((sum(pw.values()) for _, pw in want), default=0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_kernel_polys(), _kernel_polys())
+def test_mul_is_the_reference_product_term_for_term(p, q):
+    raw = mul_terms(_raw(p), _raw(q))
+    _assert_kernel_result(lambda: p.mul(q), raw)
+    # the term cap counts every monomial formed, one that cancelled to 0.0 included
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(poly, "TERM_LIMIT", len(raw))
+        _assert_kernel_result(lambda: p.mul(q), raw)
+        if raw:
+            patch.setattr(poly, "TERM_LIMIT", len(raw) - 1)
+            with pytest.raises(TermLimitError, match="term cap"):
+                p.mul(q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_kernel_polys(), st.one_of(_KCOEFFS, st.just(0.0)))
+def test_scale_is_the_reference_scaling_term_for_term(p, c):
+    _assert_kernel_result(lambda: p.scale(c), scale_terms(_raw(p), c))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_kernel_polys(max_terms=4, max_exp=2), st.integers(0, 6))
+def test_power_is_the_reference_power_term_for_term(p, k):
+    try:
+        want = power_terms(_raw(p), k)
+    except OverflowError:
+        with pytest.raises(NonFiniteError):
+            p.power(k)
+        return
+    got = p.power(k)
+    assert _hex(_raw(got)) == _hex(want)
+    assert got.degree() == max((sum(pw.values()) for _, pw in want), default=0)
+
+
+def test_a_cancelled_cross_term_drops_but_still_counts_against_the_term_cap(monkeypatch):
+    product = (xA + xB).mul(xA - xB)
+    assert [(str(m), c) for m, c in product.items()] == [("x[A]^2", 1.0), ("x[B]^2", -1.0)]
+    assert product.degree() == 2
+    monkeypatch.setattr(poly, "TERM_LIMIT", 2)  # x[A]*x[B] was formed before it cancelled
+    with pytest.raises(TermLimitError, match="term cap of 2 terms"):
+        (xA + xB).mul(xA - xB)
+
+
+def test_the_first_power_is_the_polynomial_itself(monkeypatch):
+    # no product by 1.0 (which was exact): the first power of a sum over the term
+    # cap is that sum, where it used to be refused with the term cap
+    monkeypatch.setattr(poly, "TERM_LIMIT", 3)
+    p = xA + xB + xC + Polynomial.variable(VarId("D"))
+    assert p.power(1) is p and p ** 1 is p
+    with pytest.raises(TermLimitError, match="term cap of 3 terms"):
+        p.power(2)
 
 
 # -- algebraic laws (structural equality; integer coefficients keep floats exact) -----

@@ -96,6 +96,7 @@ def test_release_lines_send_one_request_each(repl, monkeypatch):
 
 def test_bad_lines_are_errors(repl):
     repl.handle("load people as p")
+    repl.handle("let a = pick p 0")
     for line, error in [
         ("frobnicate", ScriptError),          # unknown command
         ("load people", ScriptError),         # usage
@@ -108,6 +109,10 @@ def test_bad_lines_are_errors(repl):
         ("publish p", ScriptError),
         ("budget nobody", ClientError),
         ("let x = pick p many", ValueError),
+        ("let x = pick p 0.9", ValueError),   # REPL words are read as int() reads them
+        ("let x = pow a 2.5", ValueError),
+        ("let x = scale a true", ValueError),  # and as float() reads them
+        ("simulate a true", ValueError),
         ("let x = pick p 9", IndexError),
         ('load "people as p', ValueError),    # unbalanced quote
     ]:

@@ -221,6 +221,35 @@ def test_unknown_constructs_fail_cleanly(tmp_path, live):
         assert fragment in report.steps[-1].detail
 
 
+def test_number_fields_take_json_numbers_and_no_booleans(tmp_path, live):
+    # int() and float() would read 2.5 as 2, true as 1 and 0.9 as 0, all reported ok
+    head = [
+        json.dumps({"step": "load", "dataset": "ages", "as": "people"}),
+        json.dumps({"step": "op", "kind": "pick", "arg": "people", "index": 1, "as": "a"}),
+    ]
+    pick = {"step": "op", "kind": "pick", "arg": "people", "as": "x"}
+    pow_ = {"step": "op", "kind": "pow", "arg": "a", "as": "x"}
+    scale = {"step": "op", "kind": "scale", "arg": "a", "as": "x"}
+    for step, field in [
+        (dict(pow_, k=2.5), "'k'"), (dict(pow_, k=True), "'k'"), (dict(pow_, k="2"), "'k'"),
+        (dict(pick, index=0.9), "'index'"), (dict(pick, index=False), "'index'"),
+        (dict(scale, c=True), "'c'"), (dict(scale, c="0.5"), "'c'"),
+        ({"step": "simulate", "target": "a", "sigma": True}, "'sigma'"),
+        ({"step": "publish", "target": "a", "sigma": "5"}, "'sigma'"),
+        ({"step": "assert_budget", "at_least": True}, "'at_least'"),
+        ({"step": "assert_budget", "at_most": [2]}, "'at_most'"),
+    ]:
+        report = run_script(write_script(tmp_path, [*head, json.dumps(step)]), live, "ka")
+        assert not report.ok and len(report.steps) == 3, step
+        assert report.steps[-1].detail.startswith(f"line 3: {field} must be"), step
+    # the numbers themselves still pass, an int where a float is meant included
+    ok = [dict(pow_, k=2), dict(pick, index=0), dict(scale, c=1),
+          {"step": "simulate", "target": "a", "sigma": 500, "expect": "pass"},
+          {"step": "assert_budget", "at_least": 2, "at_most": 2.0}]
+    report = run_script(write_script(tmp_path, [*head, *map(json.dumps, ok)]), live, "ka")
+    assert report.ok, [r.detail for r in report.steps if not r.ok]
+
+
 def test_multi_session_script(tmp_path, live):
     path = write_script(tmp_path, [
         json.dumps({"step": "load", "dataset": "ages", "as": "mine"}),
